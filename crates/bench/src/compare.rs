@@ -278,8 +278,8 @@ fn describe_file_drift(golden: &Path, actual: &Path) -> Result<Option<String>, S
 
 /// Standalone diff gate: compare two report files, or two report dirs
 /// (every file listed in the **actual** dir's manifest — dirs holding a
-/// subset of benches, like the shard gate's, compare exactly what they
-/// ran). Returns a pass description; `Err` names each drifted field.
+/// subset of benches, like the double-run gate's, compare exactly what
+/// they ran). Returns a pass description; `Err` names each drifted field.
 pub fn diff_paths(golden: &Path, actual: &Path) -> Result<String, String> {
     if golden.is_dir() != actual.is_dir() {
         return Err(format!(

@@ -164,7 +164,7 @@ impl FabricGraph {
     /// BFS uses the same deterministic order and the same ECMP seed as
     /// construction, so the repaired tables are a pure function of
     /// (topology, seed, withdrawn set): bit-identical across reruns and
-    /// shard counts. Withdrawing an already-withdrawn edge is a no-op;
+    /// withdrawal orders. Withdrawing an already-withdrawn edge is a no-op;
     /// the rebuild is skipped when nothing changed.
     pub fn withdraw_edges(&mut self, edge_ids: impl IntoIterator<Item = u32>) {
         let mut changed = false;

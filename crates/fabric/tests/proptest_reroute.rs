@@ -11,8 +11,8 @@
 //! 2. **Repair determinism** — the rebuilt tables are a pure function of
 //!    `(topology, n, seed, withdrawn set)`: withdrawing the same edges in
 //!    any order, with duplicates, on a fresh graph reproduces identical
-//!    routes for every pair — the property that makes lazy reroute
-//!    application shard-invariant in the parallel engine.
+//!    routes for every pair — the property that lets the fabric apply
+//!    withdrawals lazily without the application point changing routes.
 //! 3. **Monotone damage** — withdrawals only ever shrink reachability;
 //!    a pair disconnected by a smaller withdrawn set stays disconnected
 //!    under any superset.

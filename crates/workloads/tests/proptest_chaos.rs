@@ -227,11 +227,12 @@ proptest! {
         }
     }
 
-    /// Route-around failover is engine-structure-invariant: the same
-    /// fat-tree aggregation-edge crash reports the identical verdict,
-    /// end-to-end time, and reroute count at 1, 2, and 8 calendar shards.
+    /// Route-around failover recovers and replays: a fat-tree
+    /// aggregation-edge crash ends `Recovered` with reroutes and a
+    /// verified answer, and a same-seed rerun reports the identical
+    /// verdict, end-to-end time, and reroute count.
     #[test]
-    fn route_around_recovery_is_shard_invariant(
+    fn route_around_recovery_replays_bit_identically(
         crash_at_us in 20u64..45,
         seed in 0u64..1_000,
     ) {
@@ -248,14 +249,13 @@ proptest! {
         let patch = ConfigPatch::crash_edge(a, b, crash_at_us * 1_000)
             .with_topology(ft)
             .with_detection(RecoveryPolicy::RouteAround);
-        let seq = chaos::run_cell(&base.patch(patch.with_shards(1)), "allreduce");
-        prop_assert_eq!(seq.verdict, Verdict::Recovered, "fat tree did not survive");
-        prop_assert!(seq.reroutes > 0 && seq.verified);
-        for shards in [2u32, 8] {
-            let par = chaos::run_cell(&base.patch(patch.with_shards(shards)), "allreduce");
-            prop_assert_eq!(par.verdict, seq.verdict, "verdict diverged @ {} shards", shards);
-            prop_assert_eq!(par.total_ns, seq.total_ns, "timing diverged @ {} shards", shards);
-            prop_assert_eq!(par.reroutes, seq.reroutes, "reroutes diverged @ {} shards", shards);
-        }
+        let params = base.patch(patch);
+        let first = chaos::run_cell(&params, "allreduce");
+        prop_assert_eq!(first.verdict, Verdict::Recovered, "fat tree did not survive");
+        prop_assert!(first.reroutes > 0 && first.verified);
+        let again = chaos::run_cell(&params, "allreduce");
+        prop_assert_eq!(again.verdict, first.verdict, "verdict diverged on rerun");
+        prop_assert_eq!(again.total_ns, first.total_ns, "timing diverged on rerun");
+        prop_assert_eq!(again.reroutes, first.reroutes, "reroutes diverged on rerun");
     }
 }

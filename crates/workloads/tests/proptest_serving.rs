@@ -11,11 +11,11 @@
 //! 3. **Shed honesty** — sheds only happen when a bound is actually
 //!    binding: an effectively unbounded queue and partition depth shed
 //!    nothing.
-//! 4. **Shard invariance** — the full serving report (counters, tail
-//!    percentiles, histograms, calibration stats) is bit-identical when
-//!    the calibration cluster runs execute on sharded calendars, any
-//!    shard count. The thread-axis twin of this property lives in
-//!    `gtn-bench`'s sweep tests, next to the runner it exercises.
+//! 4. **Replay determinism** — the full serving report (counters, tail
+//!    percentiles, histograms, calibration stats) is bit-identical when a
+//!    seed is rerun, seeded loss on the calibration runs included. The
+//!    thread-axis twin of this property lives in `gtn-bench`'s sweep
+//!    tests, next to the runner it exercises.
 
 use gtn_core::scenario::ConfigPatch;
 use gtn_core::Strategy;
@@ -185,30 +185,26 @@ proptest! {
         prop_assert_eq!(r.completed, r.offered);
     }
 
-    /// The whole report is invariant to the calibration runs executing on
-    /// sharded calendars.
+    /// The whole report replays bit for bit from its seed, seeded loss on
+    /// the calibration runs included.
     #[test]
-    fn serving_report_is_shard_invariant(
+    fn serving_report_replays_bit_identically(
         strategy_ix in 0u8..4,
-        shards in 2u32..6,
         seed in 0u64..10_000,
         loss_milli in 0u64..100,
         heavy_tailed in any::<bool>(),
     ) {
-        let patch = ConfigPatch::loss(seed, loss_milli as f64 / 1000.0);
-        let base = ServingParams::new(strategy_from(strategy_ix))
+        let params = ServingParams::new(strategy_from(strategy_ix))
             .tenants(60)
             .duration_ns(300_000)
             .offered(400_000)
             .process(process_from(heavy_tailed))
-            .seed(seed);
-        let seq = run(&base.patch(patch.with_shards(1)));
-        let par = run(&base.patch(patch.with_shards(shards)));
+            .seed(seed)
+            .patch(ConfigPatch::loss(seed, loss_milli as f64 / 1000.0));
         prop_assert_eq!(
-            fingerprint(&seq),
-            fingerprint(&par),
-            "shard count {} leaked into the serving report",
-            shards
+            fingerprint(&run(&params)),
+            fingerprint(&run(&params)),
+            "a same-seed rerun changed the serving report"
         );
     }
 }
