@@ -12,6 +12,7 @@
 
 use crate::addr::{Addr, NodeId, RegionId};
 use std::fmt;
+use std::ops::Range;
 
 /// Access failure: the simulated analogue of a segfault / bad DMA descriptor.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,6 +31,9 @@ pub enum MemError {
         /// Actual region size in bytes.
         region_size: u64,
     },
+    /// A split borrow named the same region for its shared and its
+    /// mutable side.
+    SameRegion(NodeId, RegionId),
 }
 
 impl fmt::Display for MemError {
@@ -45,6 +49,9 @@ impl fmt::Display for MemError {
                 f,
                 "access of {len} bytes at {addr} exceeds region size {region_size}"
             ),
+            MemError::SameRegion(n, r) => {
+                write!(f, "split borrow of region r{} on node {n} with itself", r.0)
+            }
         }
     }
 }
@@ -137,40 +144,43 @@ impl MemPool {
 
     /// Borrow `len` bytes at `addr`.
     pub fn try_read(&self, addr: Addr, len: u64) -> Result<&[u8], MemError> {
-        let region = self.region(addr.node, addr.region)?;
-        let size = region.data.len() as u64;
-        let end = addr.offset.checked_add(len).ok_or(MemError::OutOfBounds {
-            addr,
-            len,
-            region_size: size,
-        })?;
-        if end > size {
-            return Err(MemError::OutOfBounds {
-                addr,
-                len,
-                region_size: size,
-            });
-        }
-        Ok(&region.data[addr.offset as usize..end as usize])
+        let data = &self.region(addr.node, addr.region)?.data;
+        Ok(&data[byte_range(addr, len, data.len())?])
     }
 
     /// Mutably borrow `len` bytes at `addr`.
     pub fn try_read_mut(&mut self, addr: Addr, len: u64) -> Result<&mut [u8], MemError> {
-        let region = self.region_mut(addr.node, addr.region)?;
-        let size = region.data.len() as u64;
-        let end = addr.offset.checked_add(len).ok_or(MemError::OutOfBounds {
-            addr,
-            len,
-            region_size: size,
-        })?;
-        if end > size {
-            return Err(MemError::OutOfBounds {
-                addr,
-                len,
-                region_size: size,
-            });
-        }
-        Ok(&mut region.data[addr.offset as usize..end as usize])
+        let data = &mut self.region_mut(addr.node, addr.region)?.data;
+        let range = byte_range(addr, len, data.len())?;
+        Ok(&mut data[range])
+    }
+
+    /// Borrow `src_len` bytes at `src` and, mutably, `dst_len` bytes at
+    /// `dst` at the same time. The two ranges must lie in different regions,
+    /// on the same node or on different nodes; a same-region request is
+    /// [`MemError::SameRegion`]. Each range is bounds-checked once, `src`
+    /// first, so a kernel can index both slices directly.
+    pub fn try_split_borrow(
+        &mut self,
+        src: Addr,
+        src_len: u64,
+        dst: Addr,
+        dst_len: u64,
+    ) -> Result<(&[u8], &mut [u8]), MemError> {
+        let src_range = byte_range(src, src_len, self.region(src.node, src.region)?.data.len())?;
+        let dst_range = byte_range(dst, dst_len, self.region(dst.node, dst.region)?.data.len())?;
+        let (sn, dn) = (src.node.index(), dst.node.index());
+        let (sr, dr) = (src.region.0 as usize, dst.region.0 as usize);
+        let (s, d) = if sn == dn {
+            if sr == dr {
+                return Err(MemError::SameRegion(src.node, src.region));
+            }
+            split_pair(&mut self.nodes[sn].regions, sr, dr)
+        } else {
+            let (s, d) = split_pair(&mut self.nodes, sn, dn);
+            (&s.regions[sr], &mut d.regions[dr])
+        };
+        Ok((&s.data[src_range], &mut d.data[dst_range]))
     }
 
     /// Copy `src` into memory at `addr`.
@@ -198,19 +208,19 @@ impl MemPool {
     }
 
     /// Copy `len` bytes from `src` to `dst`, possibly across nodes. This is
-    /// the primitive beneath RDMA put delivery and local DMA.
+    /// the primitive beneath RDMA put delivery and local DMA. A copy within
+    /// one region may overlap and has memmove semantics.
     pub fn try_copy(&mut self, src: Addr, dst: Addr, len: u64) -> Result<(), MemError> {
-        // Regions are distinct allocations, so a same-region overlapping copy
-        // is the only aliasing hazard; handle it via a temporary.
         if src.node == dst.node && src.region == dst.region {
-            let tmp = self.try_read(src, len)?.to_vec();
-            return self.try_write(dst, &tmp);
+            let data = &mut self.region_mut(src.node, src.region)?.data;
+            let from = byte_range(src, len, data.len())?;
+            let to = byte_range(dst, len, data.len())?;
+            data.copy_within(from, to.start);
+            return Ok(());
         }
-        // Disjoint regions: copy through a scratch to keep the borrow checker
-        // happy without unsafe. `len` here is at most one message, and the
-        // simulator is not bandwidth-bound on host memcpy.
-        let tmp = self.try_read(src, len)?.to_vec();
-        self.try_write(dst, &tmp)
+        let (s, d) = self.try_split_borrow(src, len, dst, len)?;
+        d.copy_from_slice(s);
+        Ok(())
     }
 
     /// Panicking cross-node copy.
@@ -233,6 +243,30 @@ impl MemPool {
             }
         }
         out
+    }
+}
+
+/// The in-bounds byte range of a `len`-byte access at `addr` in a region of
+/// `size` bytes.
+fn byte_range(addr: Addr, len: u64, size: usize) -> Result<Range<usize>, MemError> {
+    match addr.offset.checked_add(len) {
+        Some(end) if end <= size as u64 => Ok(addr.offset as usize..end as usize),
+        _ => Err(MemError::OutOfBounds {
+            addr,
+            len,
+            region_size: size as u64,
+        }),
+    }
+}
+
+/// `(&items[a], &mut items[b])` for `a != b`.
+fn split_pair<T>(items: &mut [T], a: usize, b: usize) -> (&T, &mut T) {
+    if a < b {
+        let (lo, hi) = items.split_at_mut(b);
+        (&lo[a], &mut hi[0])
+    } else {
+        let (lo, hi) = items.split_at_mut(a);
+        (&hi[0], &mut lo[b])
     }
 }
 

@@ -1,8 +1,8 @@
 //! Property tests for the memory substrate: byte-level roundtrips, copy
 //! semantics (including overlap), and the fence-discipline checker.
 
-use gtn_mem::addr::{Addr, NodeId};
-use gtn_mem::pool::MemPool;
+use gtn_mem::addr::{Addr, NodeId, RegionId};
+use gtn_mem::pool::{MemError, MemPool};
 use gtn_mem::scope::{check_fence_discipline, MemOrdering, MemScope, ScopedOp};
 use proptest::prelude::*;
 
@@ -24,25 +24,53 @@ proptest! {
         prop_assert!(p.read(base, offset).iter().all(|&b| b == 0));
     }
 
-    /// Cross-region copy equals a read-then-write, for any geometry.
+    /// Cross-region copy equals a read-then-write, for any geometry: same
+    /// node in both region orders and across nodes in both node orders.
+    /// The split borrow beneath it sees the same bytes, and an out-of-bounds
+    /// range on either side is reported against that side.
     #[test]
     fn copy_matches_read_write(
         data in prop::collection::vec(any::<u8>(), 1..200),
         src_off in 0u64..56,
         dst_off in 0u64..56,
+        layout in 0usize..4,
+        excess in 1u64..64,
     ) {
         let mut p = MemPool::new(2);
-        let rs = p.alloc(NodeId(0), 256, "src");
-        let rd = p.alloc(NodeId(1), 256, "dst");
-        let src = Addr::base(NodeId(0), rs).offset_by(src_off);
-        let dst = Addr::base(NodeId(1), rd).offset_by(dst_off);
+        for node in [NodeId(0), NodeId(1)] {
+            p.alloc(node, 256, "r0");
+            p.alloc(node, 256, "r1");
+        }
+        // (src node, src region, dst node, dst region)
+        let (sn, sr, dn, dr) = [(0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 0, 1)][layout];
+        let src = Addr::base(NodeId(sn), RegionId(sr)).offset_by(src_off);
+        let dst = Addr::base(NodeId(dn), RegionId(dr)).offset_by(dst_off);
+        let len = data.len() as u64;
         p.write(src, &data);
-        p.copy(src, dst, data.len() as u64);
-        prop_assert_eq!(p.read(dst, data.len() as u64), &data[..]);
-        prop_assert_eq!(p.read(src, data.len() as u64), &data[..], "src preserved");
+        p.copy(src, dst, len);
+        prop_assert_eq!(p.read(dst, len), &data[..]);
+        prop_assert_eq!(p.read(src, len), &data[..], "src preserved");
+
+        let (s, d) = p.try_split_borrow(src, len, dst, len).unwrap();
+        prop_assert_eq!(s, &data[..]);
+        prop_assert_eq!(&d[..], &data[..]);
+
+        let src_oob = 256 - src_off + excess;
+        let err = p.try_split_borrow(src, src_oob, dst, len).unwrap_err();
+        prop_assert_eq!(
+            err,
+            MemError::OutOfBounds { addr: src, len: src_oob, region_size: 256 }
+        );
+        let dst_oob = 256 - dst_off + excess;
+        let err = p.try_split_borrow(src, len, dst, dst_oob).unwrap_err();
+        prop_assert_eq!(
+            err,
+            MemError::OutOfBounds { addr: dst, len: dst_oob, region_size: 256 }
+        );
     }
 
-    /// Same-region overlapping copy behaves like memmove.
+    /// Same-region overlapping copy behaves like memmove; a split borrow of
+    /// the same two ranges is refused with an error.
     #[test]
     fn overlapping_copy_is_memmove(
         len in 1usize..64,
@@ -60,8 +88,13 @@ proptest! {
             src_off as usize..src_off as usize + len,
             dst_off as usize,
         );
-        p.copy(base.offset_by(src_off), base.offset_by(dst_off), len as u64);
+        let (src, dst) = (base.offset_by(src_off), base.offset_by(dst_off));
+        p.copy(src, dst, len as u64);
         prop_assert_eq!(p.read(base, 128), &expect[..]);
+        prop_assert_eq!(
+            p.try_split_borrow(src, len as u64, dst, len as u64).unwrap_err(),
+            MemError::SameRegion(NodeId(0), r)
+        );
     }
 
     /// f32 slices roundtrip through the byte store.

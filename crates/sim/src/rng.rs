@@ -8,6 +8,36 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+/// SplitMix64's increment: `SmallRng::seed_from_u64` adds it once per state
+/// word it derives.
+const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The SplitMix64 finalizer: a bijection on `u64`.
+fn splitmix64_mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Exactly `SimRng::seeded(seed).range_f32(lo, hi)`, without building the
+/// generator.
+///
+/// Workload inputs seed one generator per element and draw once, so this is
+/// their hot path. `seed_from_u64` fills the xoshiro256++ state with four
+/// SplitMix64 words `s0..s3`, and the first output reads only `s0` and `s3`;
+/// this computes those two and nothing else. The generator's all-zero-state
+/// guard never fires: the finalizer is a bijection applied to four distinct
+/// inputs, so at most one word is zero.
+#[inline]
+pub fn first_range_f32(seed: u64, lo: f32, hi: f32) -> f32 {
+    assert!(lo < hi, "empty range [{lo}, {hi})");
+    let s0 = splitmix64_mix(seed.wrapping_add(SPLITMIX_GAMMA));
+    let s3 = splitmix64_mix(seed.wrapping_add(SPLITMIX_GAMMA.wrapping_mul(4)));
+    let word = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);
+    // The stand-in `rand`'s f32 sampling: 24 high bits scaled to [0, 1).
+    lo + (word >> 40) as f32 * (1.0 / (1u64 << 24) as f32) * (hi - lo)
+}
+
 /// A small, fast, explicitly-seeded RNG.
 #[derive(Debug, Clone)]
 pub struct SimRng {
@@ -26,12 +56,10 @@ impl SimRng {
     /// node does not perturb the streams of existing nodes.
     pub fn fork(&self, stream: u64) -> Self {
         // SplitMix64 finalizer over (base, stream): cheap, well-distributed.
-        let mut z = self
+        let z = self
             .base_seed()
-            .wrapping_add(stream.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        SimRng::seeded(z ^ (z >> 31))
+            .wrapping_add(stream.wrapping_mul(SPLITMIX_GAMMA));
+        SimRng::seeded(splitmix64_mix(z))
     }
 
     fn base_seed(&self) -> u64 {
@@ -129,6 +157,32 @@ mod tests {
         vals.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let median = vals[vals.len() / 2];
         assert!((median / 1000.0 - 1.0).abs() < 0.15, "median {median}");
+    }
+
+    #[test]
+    fn first_range_f32_is_the_first_seeded_draw() {
+        let check = |seed: u64| {
+            let want = SimRng::seeded(seed).range_f32(-1.0, 1.0);
+            let got = first_range_f32(seed, -1.0, 1.0);
+            assert_eq!(got.to_bits(), want.to_bits(), "seed {seed:#x}");
+        };
+        let mut sweep = SimRng::seeded(0x5EED);
+        for _ in 0..1000 {
+            check(sweep.range_u64(0, u64::MAX));
+        }
+        for seed in [0, 1, u64::MAX, u64::MAX - 1] {
+            check(seed);
+        }
+        // The shapes the workloads derive per-element seeds with:
+        // Allreduce `seed ^ (rank << 40) ^ j`, Jacobi `seed ^ (gr << 20) ^ gc`.
+        for seed in [0, 7, 0xA11CE, u64::MAX] {
+            for k in [0u64, 1, 5, 127] {
+                for j in [0u64, 1, 1023, (1 << 20) + 15 * 1024 - 1] {
+                    check(seed ^ (k << 40) ^ j);
+                    check(seed ^ (j << 20) ^ k);
+                }
+            }
+        }
     }
 
     #[test]

@@ -31,11 +31,12 @@ use gtn_host::nbc::chunk_range;
 use gtn_host::HostProgram;
 use gtn_mem::latency::MemHierarchy;
 use gtn_mem::scope::{MemOrdering, MemScope};
+use gtn_mem::view::f32s;
 use gtn_mem::{Addr, MemPool, NodeId};
 use gtn_nic::lookup::LookupKind;
 use gtn_nic::op::{NetOp, Notify};
 use gtn_nic::Tag;
-use gtn_sim::rng::SimRng;
+use gtn_sim::rng::first_range_f32;
 use gtn_sim::time::SimDuration;
 
 /// Staging slots for in-flight reduce-scatter chunks (ring flow control).
@@ -87,8 +88,7 @@ struct NodeBufs {
 
 /// Deterministic input element `j` of rank `i`.
 pub(crate) fn input_value(seed: u64, rank: u32, j: u64) -> f32 {
-    let mut rng = SimRng::seeded(seed ^ ((rank as u64) << 40) ^ j);
-    rng.range_f32(-1.0, 1.0)
+    first_range_f32(seed ^ ((rank as u64) << 40) ^ j, -1.0, 1.0)
 }
 
 /// Exact expected result: for chunk `c`, the partial starts at rank `c`
@@ -213,10 +213,9 @@ fn run_inner(
             // Fill the input vector (under a rank map, position `node`
             // carries its original rank's data).
             let rank = ranks.map_or(node, |m| m[node as usize]);
-            let vals: Vec<f32> = (0..params.elems)
-                .map(|j| input_value(params.seed, rank, j))
-                .collect();
-            mem.write_f32s(b.vec, &vals);
+            mem.fill_f32s(b.vec, params.elems as usize, |j| {
+                input_value(params.seed, rank, j as u64)
+            });
             b
         })
         .collect();
@@ -423,13 +422,17 @@ fn run_inner(
     let (cluster, scenario) =
         Harness::try_execute("allreduce", &sparams, config, mem, programs, &mut *driver)?;
 
-    // All nodes must agree; return node 0's vector.
+    // All nodes must agree (f32 `==`, compared in place); return node 0's
+    // vector.
     let v0 = cluster.mem().read_f32s(bufs[0].vec, params.elems as usize);
     for node in 1..p {
         let v = cluster
             .mem()
-            .read_f32s(bufs[node as usize].vec, params.elems as usize);
-        assert_eq!(v, v0, "node {node} disagrees with node 0");
+            .read(bufs[node as usize].vec, params.elems * 4);
+        assert!(
+            f32s(v).eq(v0.iter().copied()),
+            "node {node} disagrees with node 0"
+        );
     }
 
     Ok(AllreduceResult {

@@ -404,10 +404,9 @@ pub fn try_run_with_config(
                 flags: Addr::base(id, mem.alloc(id, rcount as u64 * 8, "col.flags")),
                 comp: Addr::base(id, mem.alloc(id, 8, "col.comp")),
             };
-            let vals: Vec<f32> = (0..params.elems)
-                .map(|j| input_value(params.seed, node, j))
-                .collect();
-            mem.write_f32s(b.vec, &vals);
+            mem.fill_f32s(b.vec, params.elems as usize, |j| {
+                input_value(params.seed, node, j as u64)
+            });
             b
         })
         .collect();

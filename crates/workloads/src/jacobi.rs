@@ -34,11 +34,12 @@ use gtn_host::compute::CpuCompute;
 use gtn_host::HostProgram;
 use gtn_mem::latency::MemHierarchy;
 use gtn_mem::scope::{MemOrdering, MemScope};
+use gtn_mem::view::{f32s, load_f32, store_f32};
 use gtn_mem::{Addr, MemPool, NodeId};
 use gtn_nic::lookup::LookupKind;
 use gtn_nic::op::{NetOp, Notify};
 use gtn_nic::Tag;
-use gtn_sim::rng::SimRng;
+use gtn_sim::rng::first_range_f32;
 use gtn_sim::time::SimDuration;
 
 /// Halo directions.
@@ -152,7 +153,7 @@ const FLAG_LABELS: [&str; 4] = [
 
 fn alloc_node(mem: &mut MemPool, node: u32, n: u64) -> NodeBufs {
     let id = NodeId(node);
-    let cells = (n + 2) * (n + 2) * 4;
+    let cells = grid_bytes(n);
     fn edge(mem: &mut MemPool, id: NodeId, n: u64, label: &'static str) -> Addr {
         Addr::base(id, mem.alloc(id, n * 4, label))
     }
@@ -170,15 +171,19 @@ fn alloc_node(mem: &mut MemPool, node: u32, n: u64) -> NodeBufs {
 }
 
 /// Byte offset of ghosted-grid cell (row, col).
-fn gidx(n: u64, row: u64, col: u64) -> u64 {
-    (row * (n + 2) + col) * 4
+fn gidx(n: u64, row: u64, col: u64) -> usize {
+    ((row * (n + 2) + col) * 4) as usize
+}
+
+/// Bytes of one ghosted grid (or its scratch).
+fn grid_bytes(n: u64) -> u64 {
+    (n + 2) * (n + 2) * 4
 }
 
 /// Initial interior value at *global* cell (gr, gc): deterministic in the
 /// seed, independent of the decomposition.
 fn init_value(seed: u64, gr: u64, gc: u64) -> f32 {
-    let mut rng = SimRng::seeded(seed ^ (gr << 20) ^ gc);
-    rng.range_f32(-1.0, 1.0)
+    first_range_f32(seed ^ (gr << 20) ^ gc, -1.0, 1.0)
 }
 
 /// The neighbours of node (r, c) in an R×C grid, as (direction, peer id).
@@ -202,21 +207,26 @@ fn neighbors(r: u32, c: u32, rows: u32, cols: u32) -> Vec<(Dir, u32)> {
 /// The functional sweep: relax into scratch, copy back. Arithmetic order
 /// fixed for bit-exact comparison with the reference.
 fn sweep(mem: &mut MemPool, grid: Addr, scratch: Addr, n: u64) {
+    let len = grid_bytes(n);
+    let (g, s) = mem
+        .try_split_borrow(grid, len, scratch, len)
+        .expect("jacobi grid in bounds");
     for row in 1..=n {
         for col in 1..=n {
-            let up = mem.read_f32(grid.offset_by(gidx(n, row - 1, col)));
-            let down = mem.read_f32(grid.offset_by(gidx(n, row + 1, col)));
-            let left = mem.read_f32(grid.offset_by(gidx(n, row, col - 1)));
-            let right = mem.read_f32(grid.offset_by(gidx(n, row, col + 1)));
+            let up = load_f32(g, gidx(n, row - 1, col));
+            let down = load_f32(g, gidx(n, row + 1, col));
+            let left = load_f32(g, gidx(n, row, col - 1));
+            let right = load_f32(g, gidx(n, row, col + 1));
             let v = 0.25 * ((up + down) + (left + right));
-            mem.write_f32(scratch.offset_by(gidx(n, row, col)), v);
+            store_f32(s, gidx(n, row, col), v);
         }
     }
+    let (s, g) = mem
+        .try_split_borrow(scratch, len, grid, len)
+        .expect("jacobi grid in bounds");
     for row in 1..=n {
-        for col in 1..=n {
-            let v = mem.read_f32(scratch.offset_by(gidx(n, row, col)));
-            mem.write_f32(grid.offset_by(gidx(n, row, col)), v);
-        }
+        let interior = gidx(n, row, 1)..gidx(n, row, n + 1);
+        g[interior.clone()].copy_from_slice(&s[interior]);
     }
 }
 
@@ -233,20 +243,29 @@ fn edge_copy(mem: &mut MemPool, b: &NodeBufs, dir: Dir, slot: Option<usize>, n: 
         (Some(_), true) => 0,
         (Some(_), false) => n + 1,
     };
-    for i in 1..=n {
-        let cell = if matches!(dir, Dir::North | Dir::South) {
+    let cell = |i: u64| {
+        if matches!(dir, Dir::North | Dir::South) {
             gidx(n, line, i)
         } else {
             gidx(n, i, line)
-        };
-        match slot {
-            None => {
-                let v = mem.read_f32(b.grid.offset_by(cell));
-                mem.write_f32(b.send[dir as usize].offset_by((i - 1) * 4), v);
+        }
+    };
+    let (grid_len, edge_len) = (grid_bytes(n), n * 4);
+    match slot {
+        None => {
+            let (g, send) = mem
+                .try_split_borrow(b.grid, grid_len, b.send[dir as usize], edge_len)
+                .expect("jacobi edge in bounds");
+            for i in 1..=n {
+                store_f32(send, (i as usize - 1) * 4, load_f32(g, cell(i)));
             }
-            Some(s) => {
-                let v = mem.read_f32(b.stage[dir as usize][s].offset_by((i - 1) * 4));
-                mem.write_f32(b.grid.offset_by(cell), v);
+        }
+        Some(s) => {
+            let (stage, g) = mem
+                .try_split_borrow(b.stage[dir as usize][s], edge_len, b.grid, grid_len)
+                .expect("jacobi edge in bounds");
+            for i in 1..=n {
+                store_f32(g, cell(i), load_f32(stage, (i as usize - 1) * 4));
             }
         }
     }
@@ -359,6 +378,9 @@ fn run_inner(
     }
     for nd in 0..nodes {
         let (r, c) = (nd / params.cols, nd % params.cols);
+        let g = mem
+            .try_read_mut(bufs[nd as usize].grid, grid_bytes(n))
+            .expect("jacobi grid in bounds");
         for row in 1..=n {
             for col in 1..=n {
                 let v = match initial {
@@ -369,7 +391,7 @@ fn run_inner(
                         init_value(params.seed, gr, gc)
                     }
                 };
-                mem.write_f32(bufs[nd as usize].grid.offset_by(gidx(n, row, col)), v);
+                store_f32(g, gidx(n, row, col), v);
             }
         }
     }
@@ -556,12 +578,10 @@ fn run_inner(
 
     let interiors = (0..nodes)
         .map(|nd| {
-            let b = &bufs[nd as usize];
+            let g = cluster.mem().read(bufs[nd as usize].grid, grid_bytes(n));
             let mut out = Vec::with_capacity((n * n) as usize);
             for row in 1..=n {
-                for col in 1..=n {
-                    out.push(cluster.mem().read_f32(b.grid.offset_by(gidx(n, row, col))));
-                }
+                out.extend(f32s(&g[gidx(n, row, 1)..gidx(n, row, n + 1)]));
             }
             out
         })
