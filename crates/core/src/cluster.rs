@@ -20,7 +20,6 @@ use gtn_host::{Cpu, CpuEvent, CpuOutput, HostOp, HostProgram};
 use gtn_mem::{MemPool, NodeId};
 use gtn_nic::nic::{Nic, NicEvent, NicNote, NicOutput};
 use gtn_nic::{DeliveryCause, Tag};
-use gtn_sim::engine::RunOutcome;
 use gtn_sim::stats::StatSet;
 use gtn_sim::time::{SimDuration, SimTime};
 use gtn_sim::Engine;
@@ -868,10 +867,6 @@ impl Cluster {
         self.engine.pending() == 0
     }
 }
-
-// RunOutcome re-export kept for API completeness of run_until-style uses.
-#[allow(unused_imports)]
-use RunOutcome as _;
 
 #[cfg(test)]
 mod tests {

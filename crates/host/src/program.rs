@@ -570,12 +570,12 @@ mod tests {
             let r = h.mem.alloc(NodeId(0), 8, "flag");
             assert_eq!(r, gtn_mem::RegionId(0));
         }
-        // Run a bounded slice: CPU should still be polling.
+        // The CPU spins on the flag until the handler sets it at ~200 ns.
         h.engine.schedule_at(SimTime::ZERO, CpuEvent::Step);
         let cpu = &mut h.cpu;
         let mem = &mut h.mem;
         let mut steps = 0;
-        h.engine.run_until(SimTime::from_ns(500), |eng, ev| {
+        h.engine.run(|eng, ev| {
             steps += 1;
             for out in cpu.handle(eng.now(), ev, mem) {
                 if let CpuOutput::Local { at, ev } = out {
@@ -589,6 +589,13 @@ mod tests {
                 mem.write_u64(Addr::base(NodeId(0), gtn_mem::RegionId(0)), 1);
             }
         });
+        // The 40 ns poll interval bounds how late the CPU sees the flag:
+        // it must be done well before 500 ns.
+        assert!(
+            h.engine.now() <= SimTime::from_ns(500),
+            "CPU finished late: {:?}",
+            h.engine.now()
+        );
         assert!(cpu.stats().counter("poll_retries") >= 4);
         assert_eq!(cpu.stats().counter("poll_hits"), 1);
         assert!(cpu.is_finished());
@@ -601,6 +608,11 @@ mod tests {
         assert!(
             wait.mean() >= SimDuration::from_ns(200),
             "flag was set at ~200ns: {:?}",
+            wait.mean()
+        );
+        assert!(
+            wait.mean() < SimDuration::from_ns(300),
+            "flag seen late: {:?}",
             wait.mean()
         );
     }

@@ -6,7 +6,7 @@
 //! receives `&mut Engine` and may schedule freely while it runs. This is the
 //! sans-IO shape used throughout the workspace.
 
-use crate::event::{EventQueue, PopAtMost};
+use crate::event::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
 /// Why a [`Engine::run`] call returned.
@@ -16,8 +16,6 @@ pub enum RunOutcome {
     Drained,
     /// [`Engine::stop`] was called from inside a handler.
     Stopped,
-    /// The time horizon passed; remaining events are still queued.
-    HorizonReached,
     /// The event-count safety limit was hit (almost certainly a livelock,
     /// e.g. a poller that never observes its flag).
     EventLimit,
@@ -47,7 +45,7 @@ pub struct Engine<E> {
     now: SimTime,
     processed: u64,
     stop_requested: bool,
-    /// Hard cap on processed events per `run` family call; guards against
+    /// Hard cap on processed events per `run` call; guards against
     /// pathological poll loops in misconfigured experiments.
     event_limit: u64,
     /// Events passed to [`Engine::schedule_at`] with a timestamp in the
@@ -127,16 +125,16 @@ impl<E> Engine<E> {
     /// Schedule `payload` to fire `delay` after the current instant.
     ///
     /// This is the dominant scheduling pattern (NIC pollers and ARQ timers
-    /// re-arm themselves a short delay ahead), so it takes the calendar's
-    /// near-window fast path.
+    /// re-arm themselves a short delay ahead); the calendar's front cache
+    /// and near-window buckets make it O(1).
     pub fn schedule_after(&mut self, delay: SimDuration, payload: E) {
-        self.queue.push_near(self.now + delay, payload);
+        self.queue.push(self.now + delay, payload);
     }
 
     /// Schedule `payload` to fire at the current instant, after every event
     /// already queued for this instant (FIFO).
     pub fn schedule_now(&mut self, payload: E) {
-        self.queue.push_near(self.now, payload);
+        self.queue.push(self.now, payload);
     }
 
     /// Request that the current `run` call return after this handler.
@@ -155,45 +153,11 @@ impl<E> Engine<E> {
 
     /// Run until the calendar drains or a handler calls [`Engine::stop`].
     pub fn run(&mut self, mut handler: impl FnMut(&mut Self, E)) -> RunOutcome {
-        self.run_until(SimTime::MAX, &mut handler)
-    }
-
-    /// Run until the calendar drains, `stop` is called, or the next event
-    /// would fire strictly after `horizon`.
-    ///
-    /// # Horizon semantics (normative)
-    ///
-    /// The horizon is **inclusive**: an event timestamped *exactly* at
-    /// `horizon` fires; the first event strictly after it stays queued and
-    /// the clock parks at `horizon` so back-to-back calls compose. This is
-    /// the single documented semantic shared with the calendar's fused
-    /// [`crate::event::EventQueue::pop_at_most`] hot loop (both of its
-    /// branches). A caller that needs an *exclusive* bound passes
-    /// `bound - 1 ps` rather than relying on any off-by-one here.
-    pub fn run_until(
-        &mut self,
-        horizon: SimTime,
-        mut handler: impl FnMut(&mut Self, E),
-    ) -> RunOutcome {
         self.stop_requested = false;
         let budget_start = self.processed;
         loop {
-            // One fused calendar operation per event (peek-then-pop would
-            // normalize the ladder twice).
-            let payload = match self.queue.pop_at_most(horizon) {
-                PopAtMost::Empty => return RunOutcome::Drained,
-                PopAtMost::Later(_) => {
-                    // Leave the pending events queued; advance the clock to
-                    // the horizon so back-to-back `run_until` calls compose.
-                    self.now = horizon.max(self.now);
-                    return RunOutcome::HorizonReached;
-                }
-                PopAtMost::Popped(at, payload) => {
-                    debug_assert!(at >= self.now, "calendar went backwards");
-                    self.now = at;
-                    self.processed += 1;
-                    payload
-                }
+            let Some((_, payload)) = self.step() else {
+                return RunOutcome::Drained;
             };
             handler(self, payload);
             if self.stop_requested {
@@ -256,64 +220,6 @@ mod tests {
         assert_eq!(outcome, RunOutcome::Stopped);
         assert_eq!(seen, 5);
         assert_eq!(eng.pending(), 5);
-    }
-
-    #[test]
-    fn horizon_is_inclusive_and_composes() {
-        let mut eng: Engine<u32> = Engine::new();
-        eng.schedule_at(SimTime::from_ns(10), 1);
-        eng.schedule_at(SimTime::from_ns(20), 2);
-        let mut seen = Vec::new();
-        let outcome = eng.run_until(SimTime::from_ns(10), |_, v| seen.push(v));
-        assert_eq!(outcome, RunOutcome::HorizonReached);
-        assert_eq!(seen, vec![1]);
-        assert_eq!(eng.now(), SimTime::from_ns(10));
-        let outcome = eng.run_until(SimTime::from_ns(30), |_, v| seen.push(v));
-        assert_eq!(outcome, RunOutcome::Drained);
-        assert_eq!(seen, vec![1, 2]);
-    }
-
-    #[test]
-    fn event_exactly_at_lookahead_horizon_fires_in_both_calendar_branches() {
-        // Regression for the horizon boundary: an event timestamped
-        // exactly at the horizon must fire (inclusive), and one at
-        // horizon + 1 ps must not — through the front-cache branch (single
-        // pending event) and through the tier branch (several pending).
-        let horizon = SimTime::from_ns(200); // a link+switch lookahead
-                                             // Front-cache branch.
-        let mut eng: Engine<&str> = Engine::new();
-        eng.schedule_at(horizon, "at");
-        let mut seen = Vec::new();
-        assert_eq!(
-            eng.run_until(horizon, |_, v| seen.push(v)),
-            RunOutcome::Drained
-        );
-        assert_eq!(seen, vec!["at"]);
-        // Tier branch, with a strictly-later event that must stay queued.
-        let mut eng: Engine<&str> = Engine::new();
-        eng.schedule_at(SimTime::from_ns(10), "early");
-        eng.schedule_at(horizon, "at");
-        eng.schedule_at(SimTime::from_ps(horizon.as_ps() + 1), "after");
-        let mut seen = Vec::new();
-        assert_eq!(
-            eng.run_until(horizon, |_, v| seen.push(v)),
-            RunOutcome::HorizonReached
-        );
-        assert_eq!(seen, vec!["early", "at"]);
-        assert_eq!(eng.pending(), 1);
-        assert_eq!(eng.now(), horizon);
-        // The exclusive-bound idiom: bound - 1 ps leaves the
-        // exactly-at-bound event for the next call.
-        let mut eng: Engine<&str> = Engine::new();
-        eng.schedule_at(horizon, "at-bound");
-        let mut seen = Vec::new();
-        let before = SimTime::from_ps(horizon.as_ps() - 1);
-        assert_eq!(
-            eng.run_until(before, |_, v| seen.push(v)),
-            RunOutcome::HorizonReached
-        );
-        assert!(seen.is_empty());
-        assert_eq!(eng.pending(), 1);
     }
 
     #[test]

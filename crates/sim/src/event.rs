@@ -103,28 +103,6 @@ impl Ord for Entry {
     }
 }
 
-/// Result of [`EventQueue::pop_at_most`].
-///
-/// # Horizon semantics (normative)
-///
-/// The horizon is **inclusive**: an event timestamped *exactly* at the
-/// horizon pops; only events *strictly after* it report [`PopAtMost::Later`].
-/// Both branches of the fused hot loop (the front cache and the tier path)
-/// implement this one semantic, and [`crate::engine::Engine::run_until`]
-/// inherits it. A caller that must process the half-open window
-/// `[floor, end)` pops with `pop_at_most(end - 1 ps)`, so an event at
-/// exactly `end` stays queued for the next window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PopAtMost<E> {
-    /// No events are pending.
-    Empty,
-    /// The earliest pending event fires strictly after the horizon; it
-    /// stays queued. Carries its timestamp.
-    Later(SimTime),
-    /// The earliest pending event, at or before the horizon (inclusive).
-    Popped(SimTime, E),
-}
-
 /// One ladder bucket: entries plus a lazily-maintained sort flag.
 ///
 /// `sorted` means "descending by `(time, seq)`" — the minimum is at the
@@ -231,15 +209,6 @@ impl<E> EventQueue<E> {
         }
         let slot = self.alloc(payload);
         self.insert(Entry { at, seq, slot });
-    }
-
-    /// Schedule alias used by the engine's self-reschedule fast path
-    /// ([`crate::engine::Engine::schedule_after`]). Ordering-equivalent to
-    /// [`EventQueue::push`]; the fast path itself is the front cache plus
-    /// the O(1) ladder bucket placement.
-    #[inline]
-    pub fn push_near(&mut self, at: SimTime, payload: E) {
-        self.push(at, payload);
     }
 
     /// Place an already-keyed entry into the correct tier.
@@ -377,13 +346,31 @@ impl<E> EventQueue<E> {
         None
     }
 
-    /// Remove and return the earliest event, if any.
+    /// Remove and return the earliest event, if any. One calendar
+    /// normalization per event: this is the run loop's hot path.
+    #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match self.pop_at_most(SimTime::MAX) {
-            PopAtMost::Popped(at, payload) => Some((at, payload)),
-            PopAtMost::Empty => None,
-            PopAtMost::Later(_) => unreachable!("nothing is later than SimTime::MAX"),
+        if let Some(&(fat, fseq, _)) = self.front.as_ref() {
+            // Tiers are non-empty iff another event exists besides front.
+            if self.len > 1 {
+                self.normalize();
+                let tail = *self.buckets[self.cursor]
+                    .entries
+                    .last()
+                    .expect("normalize left cursor empty");
+                if (tail.at, tail.seq) < (fat, fseq) {
+                    return Some(self.pop_cursor());
+                }
+            }
+            let (at, _, payload) = self.front.take().expect("front vanished");
+            self.len -= 1;
+            return Some((at, payload));
         }
+        if self.len == 0 {
+            return None;
+        }
+        self.normalize();
+        Some(self.pop_cursor())
     }
 
     /// Pop the earliest pending entry from the (normalized) cursor bucket.
@@ -404,114 +391,6 @@ impl<E> EventQueue<E> {
         (e.at, payload)
     }
 
-    /// Pop the earliest event **iff** its timestamp is at or before
-    /// `horizon`; otherwise report why not. This fuses the engine's
-    /// peek-then-pop loop into one calendar normalization per event — the
-    /// run loop's hot path.
-    #[inline]
-    pub fn pop_at_most(&mut self, horizon: SimTime) -> PopAtMost<E> {
-        if let Some(&(fat, fseq, _)) = self.front.as_ref() {
-            // Tiers are non-empty iff another event exists besides front.
-            if self.len > 1 {
-                self.normalize();
-                let tail = *self.buckets[self.cursor]
-                    .entries
-                    .last()
-                    .expect("normalize left cursor empty");
-                if (tail.at, tail.seq) < (fat, fseq) {
-                    if tail.at > horizon {
-                        return PopAtMost::Later(tail.at);
-                    }
-                    let (at, payload) = self.pop_cursor();
-                    return PopAtMost::Popped(at, payload);
-                }
-            }
-            if fat > horizon {
-                return PopAtMost::Later(fat);
-            }
-            let (at, _, payload) = self.front.take().expect("front vanished");
-            self.len -= 1;
-            return PopAtMost::Popped(at, payload);
-        }
-        if self.len == 0 {
-            return PopAtMost::Empty;
-        }
-        self.normalize();
-        let next = self.buckets[self.cursor]
-            .entries
-            .last()
-            .expect("normalize left cursor empty")
-            .at;
-        if next > horizon {
-            return PopAtMost::Later(next);
-        }
-        let (at, payload) = self.pop_cursor();
-        PopAtMost::Popped(at, payload)
-    }
-
-    /// The timestamp of the earliest pending event.
-    ///
-    /// Takes `&mut self` because peeking may slide the ladder window to the
-    /// next occupied bucket (an internal reorganisation; the pending set
-    /// and its pop order are unchanged).
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        if let Some(&(fat, _, _)) = self.front.as_ref() {
-            if self.len > 1 {
-                self.normalize();
-                let tier = self.buckets[self.cursor]
-                    .entries
-                    .last()
-                    .expect("normalize left cursor empty")
-                    .at;
-                return Some(tier.min(fat));
-            }
-            return Some(fat);
-        }
-        if self.len == 0 {
-            return None;
-        }
-        self.normalize();
-        self.buckets[self.cursor].entries.last().map(|e| e.at)
-    }
-
-    /// The earliest pending event's timestamp and a borrow of its payload,
-    /// without removing it. The entry returned is exactly the one the next
-    /// [`EventQueue::pop`] would yield (minimum `(time, seq)`).
-    ///
-    /// Takes `&mut self` for the same reason as [`EventQueue::peek_time`]:
-    /// peeking may slide the ladder window (pending set unchanged).
-    pub fn peek(&mut self) -> Option<(SimTime, &E)> {
-        if self.front.is_some() {
-            if self.len > 1 {
-                self.normalize();
-                let tail = *self.buckets[self.cursor]
-                    .entries
-                    .last()
-                    .expect("normalize left cursor empty");
-                let &(fat, fseq, _) = self.front.as_ref().expect("front vanished");
-                if (tail.at, tail.seq) < (fat, fseq) {
-                    let payload = self.payloads[tail.slot as usize]
-                        .as_ref()
-                        .expect("slab slot empty on peek");
-                    return Some((tail.at, payload));
-                }
-            }
-            return self.front.as_ref().map(|(at, _, p)| (*at, p));
-        }
-        if self.len == 0 {
-            return None;
-        }
-        self.normalize();
-        let tail = *self.buckets[self.cursor]
-            .entries
-            .last()
-            .expect("normalize left cursor empty");
-        let payload = self.payloads[tail.slot as usize]
-            .as_ref()
-            .expect("slab slot empty on peek");
-        Some((tail.at, payload))
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len
@@ -520,26 +399,6 @@ impl<E> EventQueue<E> {
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Total number of events ever scheduled (the next sequence number).
-    pub fn scheduled_total(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Drop all pending events (sequence numbering continues).
-    pub fn clear(&mut self) {
-        self.front = None;
-        for b in &mut self.buckets {
-            b.entries.clear();
-            b.sorted = false;
-        }
-        self.occupied = [0; BITMAP_WORDS];
-        self.overflow.clear();
-        self.payloads.clear();
-        self.free.clear();
-        self.ladder_len = 0;
-        self.len = 0;
     }
 }
 
@@ -584,20 +443,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_and_len() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-        q.push(SimTime::from_ns(7), ());
-        q.push(SimTime::from_ns(3), ());
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(SimTime::from_ns(3)));
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.scheduled_total(), 2);
-    }
-
-    #[test]
     fn far_future_events_cross_the_overflow_tier() {
         let mut q = EventQueue::new();
         // Far beyond the ~8.4 µs ladder window.
@@ -616,9 +461,10 @@ mod tests {
     #[test]
     fn push_before_window_still_pops_first() {
         let mut q = EventQueue::new();
+        q.push(SimTime::from_ms(1), "first");
         q.push(SimTime::from_ms(1), "late");
-        // Peeking slides the window to ~1 ms.
-        assert_eq!(q.peek_time(), Some(SimTime::from_ms(1)));
+        // Popping slides the window to ~1 ms.
+        assert_eq!(q.pop(), Some((SimTime::from_ms(1), "first")));
         // A standalone queue may still push an earlier timestamp.
         q.push(SimTime::from_ns(3), "early");
         assert_eq!(q.pop(), Some((SimTime::from_ns(3), "early")));
@@ -637,26 +483,7 @@ mod tests {
             }
         }
         // 1000 events total, but never more than 100 alive at once.
-        assert_eq!(q.scheduled_total(), 1000);
         assert!(q.payloads.len() <= 100, "slab grew: {}", q.payloads.len());
-    }
-
-    #[test]
-    fn push_near_matches_push_ordering() {
-        let mut a = EventQueue::new();
-        let mut b = EventQueue::new();
-        let times = [5u64, 1, 9, 1, 5_000_000, 3, 5_000_000, 2];
-        for (i, &t) in times.iter().enumerate() {
-            a.push(SimTime::from_ns(t), i);
-            b.push_near(SimTime::from_ns(t), i);
-        }
-        loop {
-            let (x, y) = (a.pop(), b.pop());
-            assert_eq!(x, y);
-            if x.is_none() {
-                break;
-            }
-        }
     }
 
     #[test]
@@ -724,43 +551,6 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime::from_ps(b), "b")));
         assert_eq!(q.pop(), Some((SimTime::MAX, "end")));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn pop_at_most_horizon_is_inclusive_in_both_branches() {
-        // Front-cache branch: single pending event exactly at the horizon.
-        let mut q = EventQueue::new();
-        let h = SimTime::from_ns(100);
-        q.push(h, "front");
-        assert_eq!(q.pop_at_most(h), PopAtMost::Popped(h, "front"));
-        // Tier branch: several pending events force the ladder path.
-        let mut q = EventQueue::new();
-        q.push(h, "at-horizon");
-        q.push(SimTime::from_ns(200), "after");
-        q.push(SimTime::from_ns(50), "before");
-        assert_eq!(
-            q.pop_at_most(h),
-            PopAtMost::Popped(SimTime::from_ns(50), "before")
-        );
-        assert_eq!(q.pop_at_most(h), PopAtMost::Popped(h, "at-horizon"));
-        // Strictly-after stays queued and is reported with its timestamp.
-        assert_eq!(q.pop_at_most(h), PopAtMost::Later(SimTime::from_ns(200)));
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn peek_matches_pop_across_tiers_and_ties() {
-        let mut q = EventQueue::new();
-        let times = [7u64, 3, 3, 9_000_000, 3, 12, 9_000_000, 1];
-        for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_ns(t), i);
-        }
-        while !q.is_empty() {
-            let (pt, &pv) = q.peek().expect("non-empty");
-            let (at, v) = q.pop().expect("non-empty");
-            assert_eq!((pt, pv), (at, v));
-        }
-        assert_eq!(q.peek(), None);
     }
 
     #[test]

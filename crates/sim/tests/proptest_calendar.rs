@@ -8,7 +8,7 @@
 //! timestamps exercise bucket placement and same-instant ties, large ones
 //! force the overflow tier and the window-jump migration path.
 
-use gtn_sim::event::{EventQueue, PopAtMost, WINDOW_SPAN_PS};
+use gtn_sim::event::{EventQueue, WINDOW_SPAN_PS};
 use gtn_sim::time::SimTime;
 use proptest::prelude::*;
 
@@ -100,59 +100,11 @@ proptest! {
                 payload += 1;
             }
             prop_assert_eq!(q.len(), model.pending.len());
-            prop_assert_eq!(q.peek_time(), model.min_key().map(|(t, _)| t));
         }
         while let Some(want) = model.pop() {
             prop_assert_eq!(q.pop(), Some(want));
         }
         prop_assert_eq!(q.pop(), None);
-    }
-
-    /// `pop_at_most` agrees with the reference at every horizon: it pops
-    /// exactly the events at or before the horizon (in order), reports the
-    /// earliest later event otherwise, and drains to `Empty`.
-    #[test]
-    fn pop_at_most_respects_horizon_boundary(
-        events in prop::collection::vec((0u64..u64::MAX, any::<bool>()), 1..200),
-        step in 1u64..3_000,
-    ) {
-        let mut q = EventQueue::new();
-        let mut model = Reference::new();
-        for (i, &(raw, far)) in events.iter().enumerate() {
-            q.push(at(raw, far), i);
-            model.push(at(raw, far), i);
-        }
-        let mut horizon = SimTime::ZERO;
-        let mut probed = false;
-        loop {
-            match q.pop_at_most(horizon) {
-                PopAtMost::Empty => {
-                    prop_assert!(model.min_key().is_none());
-                    break;
-                }
-                PopAtMost::Later(next) => {
-                    let (t, _) = model.min_key().expect("model has a later event too");
-                    prop_assert_eq!(next, t);
-                    prop_assert!(t > horizon);
-                    // Probe one horizon strictly between here and the next
-                    // event (must pop nothing), then jump to it exactly.
-                    let probe = SimTime::from_ps(horizon.as_ps().saturating_add(step));
-                    if probe < t && !probed {
-                        horizon = probe;
-                        probed = true;
-                    } else {
-                        horizon = t;
-                        probed = false;
-                    }
-                }
-                PopAtMost::Popped(t2, p) => {
-                    prop_assert!(t2 <= horizon);
-                    prop_assert_eq!(Some((t2, p)), model.pop());
-                    probed = false;
-                }
-            }
-        }
-        prop_assert!(q.is_empty());
     }
 }
 
@@ -200,7 +152,7 @@ proptest! {
                 model.push(t, payload);
                 payload += 1;
             }
-            prop_assert_eq!(q.peek_time(), model.min_key().map(|(t, _)| t));
+            prop_assert_eq!(q.len(), model.pending.len());
         }
         while let Some(want) = model.pop() {
             prop_assert_eq!(q.pop(), Some(want));

@@ -2,7 +2,7 @@
 //! determinism, and FIFO-within-instant — the invariants every other crate
 //! in the workspace silently relies on.
 
-use gtn_sim::engine::{Engine, RunOutcome};
+use gtn_sim::engine::Engine;
 use gtn_sim::event::EventQueue;
 use gtn_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -47,31 +47,6 @@ proptest! {
             order
         };
         prop_assert_eq!(run(), run());
-    }
-
-    /// Splitting a run at an arbitrary horizon never changes the event order.
-    #[test]
-    fn horizon_split_is_transparent(
-        times in prop::collection::vec(0u64..400, 1..80),
-        cut in 0u64..400,
-    ) {
-        let schedule = |eng: &mut Engine<usize>| {
-            for (i, &t) in times.iter().enumerate() {
-                eng.schedule_at(SimTime::from_ns(t), i);
-            }
-        };
-        let mut whole: Engine<usize> = Engine::new();
-        schedule(&mut whole);
-        let mut a = Vec::new();
-        whole.run(|e, v| a.push((e.now(), v)));
-
-        let mut split: Engine<usize> = Engine::new();
-        schedule(&mut split);
-        let mut b = Vec::new();
-        let out = split.run_until(SimTime::from_ns(cut), |e, v| b.push((e.now(), v)));
-        prop_assert!(matches!(out, RunOutcome::Drained | RunOutcome::HorizonReached));
-        split.run(|e, v| b.push((e.now(), v)));
-        prop_assert_eq!(a, b);
     }
 
     /// The clock never runs backwards under any interleaving of

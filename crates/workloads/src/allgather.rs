@@ -14,7 +14,7 @@
 //! chunk `c` on every rank must equal rank `c`'s deterministic input —
 //! bit-for-bit, since the payload is only ever copied.
 
-use crate::allreduce::input_value;
+use crate::collective::input_value;
 use crate::collective::{self, Collective, CollectiveParams, CollectiveResult};
 use crate::harness::{JobFailure, ScenarioParams, ScenarioResult, Workload};
 use gtn_core::config::ClusterConfig;

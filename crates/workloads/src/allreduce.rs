@@ -4,8 +4,9 @@
 //! `2(P−1)` rounds: a reduce-scatter phase (each round sends a vector chunk
 //! to the ring successor, receives one from the predecessor, and folds it
 //! in) followed by an allgather phase (fully-reduced chunks circulate).
-//!
-//! Strategy mapping, exactly as §5.4.1 describes:
+//! The generic [`collective`] executor lowers it, as
+//! [`Collective::RingAllreduce`], onto each strategy the way §5.4.1
+//! describes:
 //! - **CPU** — sends/recvs via the eager MPI layer, reductions on the CPU.
 //! - **HDN** — same messaging; each reduction is its own GPU kernel, so
 //!   every round pays the kernel boundary.
@@ -16,31 +17,16 @@
 //!   to know when an adjacent node has contributed data for the reduction
 //!   ... and triggers the GPU to send data for the next phase."
 //!
-//! Results are verified against the exact ring-order chain sum (bit-exact
-//! f32), and all nodes must agree.
+//! This module adds the ring's own verification: results are checked
+//! against the exact ring-order chain sum (bit-exact f32), and all nodes
+//! must agree.
 
-use crate::collective::{self, Collective, CollectiveParams};
-use crate::harness::{Harness, JobFailure, ScenarioParams, ScenarioResult, Workload};
-use gtn_core::comm::{self, GpuTnDriver};
+use crate::collective::{self, input_value, Collective, CollectiveParams};
+use crate::harness::{JobFailure, ScenarioParams, ScenarioResult, Workload};
 use gtn_core::config::ClusterConfig;
 use gtn_core::Strategy;
-use gtn_gpu::kernel::ProgramBuilder;
-use gtn_gpu::KernelLaunch;
-use gtn_host::compute::CpuCompute;
 use gtn_host::nbc::chunk_range;
-use gtn_host::HostProgram;
-use gtn_mem::latency::MemHierarchy;
-use gtn_mem::scope::{MemOrdering, MemScope};
 use gtn_mem::view::f32s;
-use gtn_mem::{Addr, MemPool, NodeId};
-use gtn_nic::lookup::LookupKind;
-use gtn_nic::op::{NetOp, Notify};
-use gtn_nic::Tag;
-use gtn_sim::rng::first_range_f32;
-use gtn_sim::time::SimDuration;
-
-/// Staging slots for in-flight reduce-scatter chunks (ring flow control).
-const STAGE_SLOTS: u64 = 4;
 
 /// Parameters of one Allreduce run.
 #[derive(Debug, Clone, Copy)]
@@ -77,20 +63,6 @@ pub struct AllreduceResult {
     pub result: Vec<f32>,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct NodeBufs {
-    vec: Addr,
-    stage: Addr,
-    stage_slot_bytes: u64,
-    flag: Addr,
-    comp: Addr,
-}
-
-/// Deterministic input element `j` of rank `i`.
-pub(crate) fn input_value(seed: u64, rank: u32, j: u64) -> f32 {
-    first_range_f32(seed ^ ((rank as u64) << 40) ^ j, -1.0, 1.0)
-}
-
 /// Exact expected result: for chunk `c`, the partial starts at rank `c`
 /// and folds ranks `c+1, c+2, …` in ring order (`acc = v_j + acc`),
 /// matching the distributed arithmetic bit-for-bit.
@@ -118,21 +90,6 @@ pub fn reference_ranks(ranks: &[u32], elems: u64, seed: u64) -> Vec<f32> {
         }
     }
     out
-}
-
-/// GPU time to fold one chunk (`dst += src`): ~12 B/element of traffic on
-/// the shared DDR4.
-pub(crate) fn gpu_reduce_time(elems: u64) -> SimDuration {
-    MemHierarchy::table2_gpu().sweep_time(12 * elems) + SimDuration::from_ns(200)
-}
-
-/// CPU time to fold one chunk. Calibrated to ~80 GB/s effective — well
-/// below the 136 GB/s channel peak, because the MPI-side reduction is a
-/// read-modify-write chain over cold eager-buffer data (this constant
-/// places the Fig. 10 HDN/CPU crossover near the paper's ~24 nodes; see
-/// EXPERIMENTS.md).
-pub(crate) fn cpu_reduce_time(cpu: &CpuCompute, elems: u64) -> SimDuration {
-    SimDuration::from_ns_f64(12.0 * elems as f64 / 80.0) + cpu.fork_join()
 }
 
 /// Run one configuration with the default (lossless) cluster config.
@@ -176,261 +133,27 @@ fn run_inner(
     ranks: Option<&[u32]>,
     mutate: impl FnOnce(&mut ClusterConfig),
 ) -> Result<AllreduceResult, JobFailure> {
-    let p = params.nodes;
-    if let Some(map) = ranks {
-        assert_eq!(map.len(), p as usize, "one original rank per position");
-    }
-    assert!(p >= 2, "allreduce needs at least 2 nodes");
-    assert!(params.elems >= p as u64, "fewer elements than chunks");
-
-    let mut config = ClusterConfig::table2(p);
-    config.log_events = false;
-    config.nic.lookup = LookupKind::HashTable;
-    // Chunk flights are tens to hundreds of microseconds; a 500 ns poll
-    // quantum is invisible in the results and keeps event counts sane on
-    // the 32-node sweep.
-    config.gpu.poll_interval_ns = 500;
-    config.host.poll_interval_ns = 500;
-    mutate(&mut config);
-
-    let max_chunk = (0..p)
-        .map(|c| chunk_range(c, params.elems, p).1)
-        .max()
-        .unwrap();
-    let chunk_bytes = max_chunk * 4;
-
-    let mut mem = MemPool::new(p as usize);
-    let bufs: Vec<NodeBufs> = (0..p)
-        .map(|node| {
-            let id = NodeId(node);
-            let b = NodeBufs {
-                vec: Addr::base(id, mem.alloc(id, params.elems * 4, "ar.vec")),
-                stage: Addr::base(id, mem.alloc(id, chunk_bytes * STAGE_SLOTS, "ar.stage")),
-                stage_slot_bytes: chunk_bytes,
-                flag: Addr::base(id, mem.alloc(id, 8, "ar.flag")),
-                comp: Addr::base(id, mem.alloc(id, 8, "ar.comp")),
-            };
-            // Fill the input vector (under a rank map, position `node`
-            // carries its original rank's data).
-            let rank = ranks.map_or(node, |m| m[node as usize]);
-            mem.fill_f32s(b.vec, params.elems as usize, |j| {
-                input_value(params.seed, rank, j as u64)
-            });
-            b
-        })
-        .collect();
-
-    // Two-sided drivers build their MPI lane here (allocating eager
-    // buffers); one-sided drivers need no setup.
-    let mut driver = comm::driver(params.strategy);
-    driver.setup(&config, &mut mem, chunk_bytes);
-    let cpu_model = CpuCompute::new(config.host.clone());
-
-    let rounds = 2 * (p - 1);
-    let md = |x: i64| ((x % p as i64 + p as i64) % p as i64) as u32;
-
-    let mut programs = Vec::with_capacity(p as usize);
-
-    for node in 0..p {
-        let i = node as i64;
-        let b = bufs[node as usize];
-        let next = (node + 1) % p;
-        let prev = (node + p - 1) % p;
-        let nb = bufs[next as usize];
-
-        // Per-round geometry, same for every strategy, as
-        // (send_chunk, recv_chunk, reduce):
-        //   RS round r (0..P-1):  send (i−r), recv (i−r−1) → reduce.
-        //   AG round r' (0..P-1): send (i+1−r'), recv (i−r') → in place.
-        let round_info = |r: u32| -> (u32, u32, bool) {
-            if r < p - 1 {
-                (md(i - r as i64), md(i - r as i64 - 1), true)
-            } else {
-                let rp = (r - (p - 1)) as i64;
-                (md(i + 1 - rp), md(i - rp), false)
-            }
-        };
-
-        // Where does round r's put land on the *receiver* (`next`'s view
-        // with its own indices)? The receiver (i+1) computes the same
-        // round structure; its recv chunk equals our send chunk, so:
-        let put_for_round = |r: u32, completion: bool| -> NetOp {
-            let (send_chunk, _, _) = round_info(r);
-            let (off, len) = chunk_range(send_chunk, params.elems, p);
-            let dst = if r < p - 1 {
-                nb.stage
-                    .offset_by((r as u64 % STAGE_SLOTS) * nb.stage_slot_bytes)
-            } else {
-                nb.vec.offset_by(off * 4)
-            };
-            NetOp::Put {
-                src: b.vec.offset_by(off * 4),
-                len: len * 4,
-                target: NodeId(next),
-                dst,
-                notify: Some(Notify {
-                    flag: nb.flag,
-                    add: 1,
-                    chain: None,
-                }),
-                completion: completion.then_some(b.comp),
-            }
-        };
-
-        let reduce_fn = move |mem: &mut MemPool, chunk: u32, slot: u64, elems: u64, p: u32| {
-            let (off, len) = chunk_range(chunk, elems, p);
-            let stage = b.stage.offset_by(slot * b.stage_slot_bytes);
-            // acc_new = local + incoming (matches `reference`).
-            mem.zip_f32s(
-                b.vec.offset_by(off * 4),
-                stage,
-                len as usize,
-                |local, incoming| local + incoming,
-            )
-            .expect("reduce in bounds");
-        };
-
-        let mut prog = HostProgram::new();
-        match params.strategy {
-            Strategy::Cpu | Strategy::Hdn => {
-                for r in 0..rounds {
-                    let (send_chunk, recv_chunk, reduce) = round_info(r);
-                    let (soff, slen) = chunk_range(send_chunk, params.elems, p);
-                    let (roff, rlen) = chunk_range(recv_chunk, params.elems, p);
-                    driver.send(
-                        &mut prog,
-                        NodeId(node),
-                        NodeId(next),
-                        b.vec.offset_by(soff * 4),
-                        slen * 4,
-                    );
-                    if reduce {
-                        // Receive into staging slot 0, then fold.
-                        driver.recv(&mut prog, NodeId(prev), NodeId(node), b.stage, rlen * 4);
-                        let chunk = recv_chunk;
-                        let elems = params.elems;
-                        if params.strategy == Strategy::Cpu {
-                            prog.compute(cpu_reduce_time(&cpu_model, rlen));
-                            prog.func(move |mem| reduce_fn(mem, chunk, 0, elems, p));
-                        } else {
-                            let label = format!("red{r}");
-                            let kernel = ProgramBuilder::new()
-                                .compute(gpu_reduce_time(rlen))
-                                .func(move |mem, _| reduce_fn(mem, chunk, 0, elems, p))
-                                .build()
-                                .expect("valid kernel");
-                            prog.launch(KernelLaunch::new(kernel, 1, 64, &label));
-                            prog.wait_kernel(&label);
-                        }
-                    } else {
-                        // Allgather: receive straight into place.
-                        driver.recv(
-                            &mut prog,
-                            NodeId(prev),
-                            NodeId(node),
-                            b.vec.offset_by(roff * 4),
-                            rlen * 4,
-                        );
-                        if params.strategy == Strategy::Hdn {
-                            // §5.4.1/§5.3: HDN "exits the kernel and
-                            // returns to the host ... after every round" —
-                            // the GPU re-enters a (trivial) kernel each
-                            // allgather round too, paying the boundary.
-                            let label = format!("fwd{r}");
-                            let kernel = ProgramBuilder::new()
-                                .compute(SimDuration::from_ns(100))
-                                .build()
-                                .expect("valid kernel");
-                            prog.launch(KernelLaunch::new(kernel, 1, 64, &label));
-                            prog.wait_kernel(&label);
-                        }
-                    }
-                }
-            }
-            Strategy::Gds => {
-                // Round 0's send moves initial data: CPU posts it directly.
-                driver.post(&mut prog, put_for_round(0, false));
-                for r in 0..rounds {
-                    let (_, recv_chunk, reduce) = round_info(r);
-                    // Pre-post the next round's send; it fires at this
-                    // round's kernel boundary.
-                    if r + 1 < rounds {
-                        driver.register(
-                            &mut prog,
-                            Tag((r + 1) as u64),
-                            1,
-                            put_for_round(r + 1, false),
-                        );
-                    }
-                    prog.poll(b.flag, (r + 1) as u64);
-                    let label = format!("k{r}");
-                    let elems = params.elems;
-                    let (_, rlen) = chunk_range(recv_chunk, params.elems, p);
-                    let builder = if reduce {
-                        let (chunk, slot) = (recv_chunk, r as u64 % STAGE_SLOTS);
-                        ProgramBuilder::new()
-                            .compute(gpu_reduce_time(rlen))
-                            .func(move |mem, _| reduce_fn(mem, chunk, slot, elems, p))
-                            .fence(MemScope::System, MemOrdering::Release)
-                    } else {
-                        // Allgather: payload landed in place; the kernel
-                        // exists to give the next send its boundary.
-                        ProgramBuilder::new().compute(SimDuration::from_ns(100))
-                    };
-                    let kernel = builder.build().expect("valid kernel");
-                    prog.launch(KernelLaunch::new(kernel, 1, 64, &label));
-                    prog.wait_kernel(&label);
-                    if r + 1 < rounds {
-                        driver.on_kernel_done(node, &label, Tag((r + 1) as u64));
-                    }
-                }
-            }
-            Strategy::GpuTn => {
-                // One persistent kernel for the whole collective.
-                let mut builder = ProgramBuilder::new();
-                for r in 0..rounds {
-                    let (_, recv_chunk, reduce) = round_info(r);
-                    let elems = params.elems;
-                    let (_, rlen) = chunk_range(recv_chunk, params.elems, p);
-                    builder = GpuTnDriver::release_trigger(builder, Tag(r as u64))
-                        .poll(move |_| b.flag, (r + 1) as u64);
-                    if reduce {
-                        let chunk = recv_chunk;
-                        let slot = r as u64 % STAGE_SLOTS;
-                        builder = builder
-                            .compute(gpu_reduce_time(rlen))
-                            .func(move |mem, _| reduce_fn(mem, chunk, slot, elems, p));
-                    }
-                }
-                let kernel = builder.build().expect("valid persistent kernel");
-                prog.launch(KernelLaunch::new(kernel, 1, 64, "persistent"));
-                // Just-in-time posting throttled by local completions.
-                for r in 0..rounds {
-                    driver.register(&mut prog, Tag(r as u64), 1, put_for_round(r, true));
-                    prog.poll(b.comp, (r + 1) as u64);
-                }
-                prog.wait_kernel("persistent");
-            }
-        }
-        programs.push(prog);
-    }
-
-    let sparams = ScenarioParams::new(params.strategy)
-        .nodes(p)
-        .size(params.elems)
-        .seed(params.seed);
-    let (cluster, scenario) =
-        Harness::try_execute("allreduce", &sparams, config, mem, programs, &mut *driver)?;
+    let cparams = CollectiveParams {
+        nodes: params.nodes,
+        elems: params.elems,
+        strategy: params.strategy,
+        seed: params.seed,
+    };
+    let (cluster, scenario, vecs) = collective::execute(
+        "allreduce",
+        Collective::RingAllreduce,
+        cparams,
+        ranks,
+        mutate,
+    )?;
 
     // All nodes must agree (f32 `==`, compared in place); return node 0's
     // vector.
-    let v0 = cluster.mem().read_f32s(bufs[0].vec, params.elems as usize);
-    for node in 1..p {
-        let v = cluster
-            .mem()
-            .read(bufs[node as usize].vec, params.elems * 4);
+    let mem = cluster.mem();
+    let v0 = mem.read_f32s(vecs[0], params.elems as usize);
+    for (node, &vec) in vecs.iter().enumerate().skip(1) {
         assert!(
-            f32s(v).eq(v0.iter().copied()),
+            f32s(mem.read(vec, params.elems * 4)).eq(v0.iter().copied()),
             "node {node} disagrees with node 0"
         );
     }
@@ -499,10 +222,11 @@ fn run_variant_lenient(
 
 /// Fig. 10's workload, adapted to the shared [`Workload`] frame.
 ///
-/// Variant 0 (the default) is the hand-lowered ring of this module — the
-/// Fig. 10 golden path, untouched by the generic executor. Variant 1 runs
-/// the binomial-tree schedule and variant 2 the hierarchical schedule
-/// through [`collective`].
+/// All three variants run through the [`collective`] executor: variant 0
+/// (the default, Fig. 10) is its ring schedule, checked against the
+/// ring-order chain sum of [`reference()`]; variant 1 runs the
+/// binomial-tree schedule and variant 2 the hierarchical schedule, each
+/// checked against the executor's lock-step replay.
 #[derive(Debug, Default)]
 pub struct Allreduce;
 

@@ -15,24 +15,31 @@
 //! - Each node owns a per-round flag array; every inbound segment's put
 //!   notifies `flags[round]`, so "round r's data is here" is one counter
 //!   compare regardless of schedule shape.
-//! - Incoming `Reduce` segments land in a per-node staging arena (each
-//!   round's segment at its own offset — no slot reuse, no overwrite
-//!   hazard); `Replace` segments land directly in the destination vector.
+//! - Incoming `Reduce` segments land in a per-node staging arena;
+//!   `Replace` segments land directly in the destination vector.
 //!
-//! Strategy lowerings mirror the ring Allreduce of [`crate::allreduce`]:
-//! CPU/HDN speak matched send/recv over the eager MPI lane (HDN folds in
-//! per-round kernels), GDS pre-registers each round's puts to fire at the
-//! previous round's kernel-boundary doorbell, and GPU-TN runs the whole
-//! schedule inside one persistent kernel that releases triggers, polls the
-//! round flags, and reduces in place.
+//! Staging rule: a one-sided put (GDS, GPU-TN) gets a staging offset of
+//! its own per round, because a ring sender may run up to `P−1` rounds
+//! ahead of its receiver and a reused slot would be overwritten before it
+//! is folded. A two-sided receive (CPU, HDN) reuses one per-round span:
+//! the host copies into it and folds it before its next receive, so reuse
+//! is safe and the arena stays one round wide.
+//!
+//! Lowerings: CPU/HDN speak matched send/recv over the eager MPI lane
+//! (HDN folds in per-round kernels), GDS pre-registers each round's puts
+//! to fire at the previous round's kernel-boundary doorbell, and GPU-TN
+//! runs the whole schedule inside one persistent kernel that releases
+//! triggers, polls the round flags, and reduces in place. The Fig. 10 ring
+//! Allreduce of [`crate::allreduce`] is this executor on
+//! [`Collective::RingAllreduce`].
 //!
 //! Verification is a bit-exact sequential replay ([`replay`]): the same
 //! schedules executed lock-step on plain `f32` vectors, snapshotting sends
 //! at round start. Every strategy must reproduce the replay exactly —
 //! float-for-float, not within a tolerance.
 
-use crate::allreduce::{cpu_reduce_time, gpu_reduce_time, input_value};
 use crate::harness::{Harness, JobFailure, ScenarioParams, ScenarioResult};
+use gtn_core::cluster::Cluster;
 use gtn_core::comm::{self, GpuTnDriver};
 use gtn_core::config::ClusterConfig;
 use gtn_core::Strategy;
@@ -41,11 +48,13 @@ use gtn_gpu::KernelLaunch;
 use gtn_host::compute::CpuCompute;
 use gtn_host::nbc::{self, chunk_range, NbcOp, Schedule};
 use gtn_host::HostProgram;
+use gtn_mem::latency::MemHierarchy;
 use gtn_mem::scope::{MemOrdering, MemScope};
 use gtn_mem::{Addr, MemPool, NodeId};
 use gtn_nic::lookup::LookupKind;
 use gtn_nic::op::{NetOp, Notify};
 use gtn_nic::Tag;
+use gtn_sim::rng::first_range_f32;
 use gtn_sim::time::SimDuration;
 use std::collections::{HashMap, HashSet};
 
@@ -57,6 +66,26 @@ use std::collections::{HashMap, HashSet};
 /// segments always fit the slot, because a rendezvous cycle (everyone
 /// blocked polling CTS from a peer that is itself blocked) would deadlock.
 const EAGER_CAP: u64 = 16 * 1024;
+
+/// Deterministic input element `j` of rank `rank`.
+pub(crate) fn input_value(seed: u64, rank: u32, j: u64) -> f32 {
+    first_range_f32(seed ^ ((rank as u64) << 40) ^ j, -1.0, 1.0)
+}
+
+/// GPU time to fold `elems` elements (`dst += src`): ~12 B/element of
+/// traffic on the shared DDR4.
+fn gpu_reduce_time(elems: u64) -> SimDuration {
+    MemHierarchy::table2_gpu().sweep_time(12 * elems) + SimDuration::from_ns(200)
+}
+
+/// CPU time to fold `elems` elements. Calibrated to ~80 GB/s effective —
+/// well below the 136 GB/s channel peak, because the MPI-side reduction is
+/// a read-modify-write chain over cold eager-buffer data (this constant
+/// places the Fig. 10 HDN/CPU crossover near the paper's ~24 nodes; see
+/// EXPERIMENTS.md).
+fn cpu_reduce_time(cpu: &CpuCompute, elems: u64) -> SimDuration {
+    SimDuration::from_ns_f64(12.0 * elems as f64 / 80.0) + cpu.fork_join()
+}
 
 /// The schedule families the executor knows how to generate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,7 +202,7 @@ struct RoundPlan {
 #[derive(Debug)]
 struct NodePlan {
     rounds: Vec<RoundPlan>,
-    /// Total staging arena bytes across all rounds.
+    /// Staging arena bytes.
     stage_bytes: u64,
 }
 
@@ -184,12 +213,19 @@ fn seg_range(first: u32, n: u32, elems: u64, n_chunks: u32) -> (u64, u64) {
     (off, last_off + last_len - off)
 }
 
-/// Compile one rank's schedule into per-round message segments.
-fn plan_node(s: &Schedule, elems: u64) -> NodePlan {
+/// Compile one rank's schedule into per-round message segments. With
+/// `reuse_stage` every round's `Reduce` segments restart at staging
+/// offset 0 (two-sided receives); without it each round gets offsets of
+/// its own (one-sided puts). See the module docs' staging rule.
+fn plan_node(s: &Schedule, elems: u64, reuse_stage: bool) -> NodePlan {
     let nc = s.n_chunks;
     let mut stage_bytes = 0u64;
+    let mut stage_end = 0u64;
     let mut rounds = Vec::with_capacity(s.rounds.len());
     for round in &s.rounds {
+        if reuse_stage {
+            stage_end = 0;
+        }
         let mut disp: HashMap<u32, Disposition> = HashMap::new();
         for op in &round.0 {
             match *op {
@@ -268,11 +304,12 @@ fn plan_node(s: &Schedule, elems: u64) -> NodePlan {
             i.elem_off = off;
             i.elems = len;
             if i.disp == Disposition::Reduce {
-                i.stage_off = stage_bytes;
-                stage_bytes += len * 4;
+                i.stage_off = stage_end;
+                stage_end += len * 4;
                 rp.reduce_elems += len;
             }
         }
+        stage_bytes = stage_bytes.max(stage_end);
         rounds.push(rp);
     }
     NodePlan {
@@ -370,8 +407,33 @@ pub fn try_run_with_config(
     params: CollectiveParams,
     mutate: impl FnOnce(&mut ClusterConfig),
 ) -> Result<CollectiveResult, JobFailure> {
+    let (cluster, scenario, vecs) = execute(name, kind, params, None, mutate)?;
+    let vectors = vecs
+        .iter()
+        .map(|&v| cluster.mem().read_f32s(v, params.elems as usize))
+        .collect();
+    Ok(CollectiveResult { scenario, vectors })
+}
+
+/// Lower and run `kind`, returning the finished cluster, the unified
+/// result, and each rank's vector address, so a caller can check the
+/// vectors in place instead of copying them out.
+///
+/// Under a rank map, position `k` of the schedule starts from rank
+/// `ranks[k]`'s input vector (a rebuilt ring of survivors reduces exactly
+/// the surviving contributions); `ranks.len()` must equal `params.nodes`.
+pub(crate) fn execute(
+    name: &'static str,
+    kind: Collective,
+    params: CollectiveParams,
+    ranks: Option<&[u32]>,
+    mutate: impl FnOnce(&mut ClusterConfig),
+) -> Result<(Cluster, ScenarioResult, Vec<Addr>), JobFailure> {
     let p = params.nodes;
     assert!(p >= 2, "collectives need at least 2 nodes");
+    if let Some(map) = ranks {
+        assert_eq!(map.len(), p as usize, "one original rank per position");
+    }
     let schedules = kind.schedules(p);
     let nc = schedules[0].n_chunks;
     let rcount = schedules[0].rounds.len();
@@ -386,9 +448,10 @@ pub fn try_run_with_config(
     config.host.poll_interval_ns = 500;
     mutate(&mut config);
 
+    let two_sided = matches!(params.strategy, Strategy::Cpu | Strategy::Hdn);
     let plans: Vec<NodePlan> = schedules
         .iter()
-        .map(|s| plan_node(s, params.elems))
+        .map(|s| plan_node(s, params.elems, two_sided))
         .collect();
 
     let mut mem = MemPool::new(p as usize);
@@ -404,8 +467,9 @@ pub fn try_run_with_config(
                 flags: Addr::base(id, mem.alloc(id, rcount as u64 * 8, "col.flags")),
                 comp: Addr::base(id, mem.alloc(id, 8, "col.comp")),
             };
+            let rank = ranks.map_or(node, |m| m[node as usize]);
             mem.fill_f32s(b.vec, params.elems as usize, |j| {
-                input_value(params.seed, node, j as u64)
+                input_value(params.seed, rank, j as u64)
             });
             b
         })
@@ -649,15 +713,7 @@ pub fn try_run_with_config(
         .seed(params.seed);
     let (cluster, scenario) =
         Harness::try_execute(name, &sparams, config, mem, programs, &mut *driver)?;
-
-    let vectors: Vec<Vec<f32>> = (0..p)
-        .map(|n| {
-            cluster
-                .mem()
-                .read_f32s(bufs[n as usize].vec, params.elems as usize)
-        })
-        .collect();
-    Ok(CollectiveResult { scenario, vectors })
+    Ok((cluster, scenario, bufs.iter().map(|b| b.vec).collect()))
 }
 
 #[cfg(test)]
@@ -777,9 +833,30 @@ mod tests {
         // Hierarchical phase 1 moves all G chunks to the leader as ONE
         // put, not G puts.
         let s = nbc::hierarchical_allreduce(1, 8, 4);
-        let plan = plan_node(&s, 1024);
+        let plan = plan_node(&s, 1024, false);
         let first = &plan.rounds[0];
         assert_eq!(first.out.len(), 1, "one coalesced segment");
         assert_eq!(first.out[0].elems, 1024, "whole vector");
+    }
+
+    #[test]
+    fn staging_is_per_round_for_puts_and_one_span_for_receives() {
+        // Ring, 5 ranks, 1001 elements: rank 0 folds chunks 4, 3, 2, 1
+        // (200 elements each) in its four reduce-scatter rounds.
+        let s = nbc::ring_allreduce(0, 5);
+        let stage_offs = |plan: &NodePlan| -> Vec<u64> {
+            plan.rounds
+                .iter()
+                .flat_map(|rp| &rp.inb)
+                .filter(|i| i.disp == Disposition::Reduce)
+                .map(|i| i.stage_off)
+                .collect()
+        };
+        let one_sided = plan_node(&s, 1001, false);
+        assert_eq!(stage_offs(&one_sided), vec![0, 800, 1600, 2400]);
+        assert_eq!(one_sided.stage_bytes, 4 * 800);
+        let two_sided = plan_node(&s, 1001, true);
+        assert_eq!(stage_offs(&two_sided), vec![0; 4]);
+        assert_eq!(two_sided.stage_bytes, 800);
     }
 }

@@ -13,9 +13,9 @@
 //!   with halo exchange, all four strategies, verified against a sequential
 //!   reference sweep.
 //! - [`allreduce`] — Fig. 10: 8 MB ring Allreduce strong scaling, 2–32
-//!   nodes, verified against the exact elementwise sum. Also hosts the
+//!   nodes, verified against the exact elementwise sum. The ring and the
 //!   tree (variant 1) and hierarchical (variant 2 / `allreduce_hier`)
-//!   schedules, lowered by the generic [`collective`] executor.
+//!   variants are all lowered by the generic [`collective`] executor.
 //! - [`allgather`] — ring AllGather: the pure-messaging collective, every
 //!   inbound segment a copy, verified element-exact.
 //! - [`deeplearning`] — Table 3 + Fig. 11: the six CNTK workloads as
