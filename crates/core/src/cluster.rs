@@ -19,11 +19,10 @@ use gtn_gpu::{Gpu, GpuEvent, GpuOutput};
 use gtn_host::{Cpu, CpuEvent, CpuOutput, HostOp, HostProgram};
 use gtn_mem::{MemPool, NodeId};
 use gtn_nic::nic::{Nic, NicEvent, NicNote, NicOutput};
-use gtn_nic::{DeliveryCause, Tag};
+use gtn_nic::{DeliveryCause, TriggerError};
 use gtn_sim::stats::StatSet;
 use gtn_sim::time::{SimDuration, SimTime};
 use gtn_sim::Engine;
-use std::collections::HashMap;
 
 /// Cost of the GPU front-end ringing the NIC doorbell at a kernel boundary
 /// (the GDS mechanism): a single posted write from the scheduler, no CPU.
@@ -62,7 +61,7 @@ pub enum LogKind {
     /// Host rang the NIC doorbell.
     DoorbellRung,
     /// A trigger-address write was issued (by GPU, CPU, or the GDS
-    /// front-end hook) carrying this tag.
+    /// front-end doorbell) carrying this tag.
     TriggerWrite(u64),
     /// Initiator NIC finished DMA-reading a put's payload (injection
     /// begins; send buffer reusable).
@@ -101,8 +100,8 @@ pub enum LogKind {
         /// Why delivery was given up on.
         cause: DeliveryCause,
     },
-    /// The NIC rejected a trigger registration (rendered error).
-    TriggerRejected(String),
+    /// The NIC rejected a trigger registration.
+    TriggerRejected(TriggerError),
     /// A receive commit parked on a full bounded completion queue resumed
     /// after waiting this long (the `cq_stall` stage).
     CqStalled {
@@ -170,9 +169,6 @@ pub struct Cluster {
     engine: Engine<Event>,
     log: Vec<LogRecord>,
     finish_times: Vec<Option<SimTime>>,
-    /// GDS hooks: when kernel `label` completes on `node`, ring the NIC
-    /// with `tags` (the front-end doorbell of GPUDirect Async).
-    gds_hooks: HashMap<(u32, String), Vec<Tag>>,
     /// Per-observer failure-detector state (one view per node; empty logic
     /// unless `config.failure` is enabled).
     views: Vec<MembershipView>,
@@ -264,7 +260,6 @@ impl Cluster {
             engine,
             log: Vec::new(),
             finish_times: vec![None; n],
-            gds_hooks: HashMap::new(),
             dead_detected: None,
             first_suspect: None,
             dead_at: None,
@@ -278,16 +273,6 @@ impl Cluster {
     /// notification channel; see [`gtn_nic::cq`]).
     pub fn attach_cq(&mut self, n: u32, cq: gtn_nic::cq::CqDesc) {
         self.nics[n as usize].attach_cq(cq);
-    }
-
-    /// Register a GDS kernel-boundary doorbell: when `label` completes on
-    /// `node`, the GPU front-end writes `tag` to the NIC trigger address —
-    /// no CPU on the critical path, but strictly after the kernel boundary.
-    pub fn gds_doorbell_on_done(&mut self, node: u32, label: &str, tag: Tag) {
-        self.gds_hooks
-            .entry((node, label.to_owned()))
-            .or_default()
-            .push(tag);
     }
 
     /// The shared memory pool.
@@ -763,7 +748,7 @@ impl Cluster {
                     attempts,
                     cause,
                 },
-                NicNote::TriggerRejected(e) => LogKind::TriggerRejected(e.to_string()),
+                NicNote::TriggerRejected(e) => LogKind::TriggerRejected(e),
                 NicNote::CqStalled { waited } => LogKind::CqStalled {
                     waited_ps: waited.as_ps(),
                 },
@@ -816,7 +801,12 @@ impl Cluster {
                     Event::Nic(n, NicEvent::TriggerWriteDyn(tag, fields)),
                 );
             }
-            GpuOutput::KernelDone { kid, at, label } => {
+            GpuOutput::KernelDone {
+                kid,
+                at,
+                label,
+                doorbell,
+            } => {
                 self.record(
                     at,
                     n,
@@ -825,15 +815,13 @@ impl Cluster {
                         label: label.clone(),
                     },
                 );
-                // GDS hook: front-end rings the NIC at the kernel boundary.
-                if let Some(tags) = self.gds_hooks.get(&(n, label.clone())) {
-                    let ring = at + SimDuration::from_ns(GDS_DOORBELL_NS);
-                    let delay = self.nics[n as usize].trigger_route_delay();
-                    for &tag in tags.clone().iter() {
-                        self.record(ring, n, LogKind::TriggerWrite(tag.0));
-                        self.engine
-                            .schedule_at(ring + delay, Event::Nic(n, NicEvent::TriggerWrite(tag)));
-                    }
+                // GDS: the front-end rings the NIC at the kernel boundary.
+                let ring = at + SimDuration::from_ns(GDS_DOORBELL_NS);
+                let delay = self.nics[n as usize].trigger_route_delay();
+                for tag in doorbell {
+                    self.record(ring, n, LogKind::TriggerWrite(tag.0));
+                    self.engine
+                        .schedule_at(ring + delay, Event::Nic(n, NicEvent::TriggerWrite(tag)));
                 }
                 // Host runtime observes completion.
                 self.engine
@@ -877,6 +865,7 @@ mod tests {
     use gtn_mem::Addr;
     use gtn_nic::nic::NicCommand;
     use gtn_nic::op::{NetOp, Notify};
+    use gtn_nic::Tag;
 
     /// End-to-end GPU-TN ping: node 0's CPU registers a triggered put and
     /// launches a kernel that fills the buffer and triggers mid-kernel;
@@ -964,19 +953,17 @@ mod tests {
         );
     }
 
-    #[test]
-    fn gds_hook_rings_doorbell_at_kernel_boundary() {
+    /// A GDS pingpong: node 0 registers a put of 64 bytes under tag 9,
+    /// then runs `launches` (each followed by a wait on its label); node 1
+    /// polls for the payload. Returns the cluster and the payload's
+    /// destination.
+    fn gds_ping(launches: Vec<KernelLaunch>) -> (Cluster, Addr) {
         let config = ClusterConfig::table2(2);
         let mut mem = MemPool::new(2);
         let src = Addr::base(NodeId(0), mem.alloc(NodeId(0), 64, "src"));
         let dst = Addr::base(NodeId(1), mem.alloc(NodeId(1), 64, "dst"));
         let flag = Addr::base(NodeId(1), mem.alloc(NodeId(1), 8, "flag"));
         mem.write(src, &[7; 64]);
-
-        let kernel = ProgramBuilder::new()
-            .compute(gtn_sim::time::SimDuration::from_ns(430))
-            .build()
-            .unwrap();
 
         let mut p0 = HostProgram::new();
         p0.nic_post(NicCommand::TriggeredPut {
@@ -994,14 +981,27 @@ mod tests {
                 }),
                 completion: None,
             },
-        })
-        .launch(KernelLaunch::new(kernel, 1, 64, "gdsk"))
-        .wait_kernel("gdsk");
+        });
+        for launch in launches {
+            let label = launch.label.clone();
+            p0.launch(launch).wait_kernel(&label);
+        }
         let mut p1 = HostProgram::new();
         p1.poll(flag, 1);
+        (Cluster::new(config, mem, vec![p0, p1]), dst)
+    }
 
-        let mut cluster = Cluster::new(config, mem, vec![p0, p1]);
-        cluster.gds_doorbell_on_done(0, "gdsk", Tag(9));
+    fn copy_kernel() -> gtn_gpu::KernelProgram {
+        ProgramBuilder::new()
+            .compute(SimDuration::from_ns(430))
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn gds_doorbell_rings_at_kernel_boundary() {
+        let launch = KernelLaunch::new(copy_kernel(), 1, 64, "gdsk").with_doorbell(&[Tag(9)]);
+        let (mut cluster, dst) = gds_ping(vec![launch]);
         let result = cluster.run();
         assert!(result.completed);
         assert_eq!(cluster.mem().read(dst, 64), &[7; 64]);
@@ -1022,6 +1022,77 @@ mod tests {
             })
             .unwrap();
         assert!(commit > kernel_done, "GDS is kernel-boundary");
+    }
+
+    #[test]
+    fn doorbell_belongs_to_its_launch_not_its_label() {
+        // Two launches share a label; only the second carries the
+        // doorbell, so exactly one trigger write is issued, 20 ns after
+        // that launch's teardown, and the put commits after it.
+        let plain = KernelLaunch::new(copy_kernel(), 1, 64, "k");
+        let rung = KernelLaunch::new(copy_kernel(), 1, 64, "k").with_doorbell(&[Tag(9)]);
+        let (mut cluster, dst) = gds_ping(vec![plain, rung]);
+        assert!(cluster.run().completed);
+        assert_eq!(cluster.mem().read(dst, 64), &[7; 64]);
+
+        let log = cluster.log();
+        let dones: Vec<SimTime> = log
+            .iter()
+            .filter(|r| r.node == 0 && matches!(r.kind, LogKind::KernelDone { .. }))
+            .map(|r| r.at)
+            .collect();
+        assert_eq!(dones.len(), 2);
+        let writes: Vec<&LogRecord> = log
+            .iter()
+            .filter(|r| matches!(r.kind, LogKind::TriggerWrite(_)))
+            .collect();
+        assert_eq!(writes.len(), 1, "only the rung launch writes a trigger");
+        assert_eq!(writes[0].node, 0);
+        assert_eq!(writes[0].kind, LogKind::TriggerWrite(9));
+        assert_eq!(
+            writes[0].at,
+            dones[1] + SimDuration::from_ns(GDS_DOORBELL_NS)
+        );
+        let commit = log
+            .iter()
+            .find(|r| r.node == 1 && r.kind == LogKind::MessageCommitted)
+            .expect("message committed")
+            .at;
+        assert!(commit > dones[1], "the put waits for the rung kernel");
+    }
+
+    #[test]
+    fn duplicate_registration_is_logged_as_a_structured_rejection() {
+        let config = ClusterConfig::table2(2);
+        let mut mem = MemPool::new(2);
+        let src = Addr::base(NodeId(0), mem.alloc(NodeId(0), 8, "src"));
+        let dst = Addr::base(NodeId(1), mem.alloc(NodeId(1), 8, "dst"));
+        let put = NetOp::Put {
+            src,
+            len: 8,
+            target: NodeId(1),
+            dst,
+            notify: None,
+            completion: None,
+        };
+        let mut p0 = HostProgram::new();
+        for _ in 0..2 {
+            p0.nic_post(NicCommand::TriggeredPut {
+                tag: Tag(5),
+                threshold: 1,
+                op: put.clone(),
+            });
+        }
+        let mut cluster = Cluster::new(config, mem, vec![p0, HostProgram::new()]);
+        cluster.run();
+        let rejected: Vec<&LogKind> = cluster
+            .log()
+            .iter()
+            .filter(|r| r.node == 0 && matches!(r.kind, LogKind::TriggerRejected(_)))
+            .map(|r| &r.kind)
+            .collect();
+        let want = LogKind::TriggerRejected(TriggerError::DuplicateTag(Tag(5)));
+        assert_eq!(rejected, [&want]);
     }
 
     #[test]

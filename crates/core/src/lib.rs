@@ -8,9 +8,6 @@
 //! - [`cluster`] — the world: per-node CPU + GPU + NIC over a shared
 //!   coherent memory pool and a star fabric, with a single deterministic
 //!   event loop and an experiment-readable activity log.
-//! - [`comm`] — the strategy-driver layer: one [`comm::CommDriver`] per
-//!   §5.1 strategy encapsulating its communication idioms (MPI lane,
-//!   doorbell hooks, triggered-put registration) so workloads share them.
 //! - [`host_api`] — the Fig. 6 host-side API: `rdma_init`, `trig_put`,
 //!   `launch_kern`, mirrored onto host programs.
 //! - [`kernel_api`] — the §4.2 kernel-side messaging granularities
@@ -27,16 +24,24 @@
 //! - [`tenancy`] — multi-tenant serving vocabulary: tenant→trigger-list
 //!   partition mapping encoded in tag low bits, and bounded-queue
 //!   admission control with conservation-checked shed counters.
-//! - [`strategy`] — the four evaluated configurations (§5.1): CPU, HDN,
-//!   GDS, GPU-TN, plus the GDS kernel-boundary doorbell mechanism.
+//! - [`strategy`] — the names of the four evaluated configurations
+//!   (§5.1): CPU, HDN, GDS, GPU-TN.
 //! - [`timeline`] — turns the cluster log into Fig. 3/Fig. 8 style latency
 //!   decompositions.
+//!
+//! A workload realizes a strategy with the substrate calls themselves, not
+//! through a driver layer: CPU/HDN send and receive over
+//! [`gtn_host::mpi::MpiWorld`]; GDS and GPU-TN pre-register
+//! [`gtn_nic::nic::NicCommand::TriggeredPut`]s with
+//! [`gtn_host::HostProgram::nic_post`]; a GDS launch carries its
+//! kernel-boundary doorbell ([`gtn_gpu::KernelLaunch::with_doorbell`]),
+//! which [`cluster`] rings after teardown; a GPU-TN kernel fires its
+//! triggers mid-execution ([`gtn_gpu::kernel::ProgramBuilder::release_triggers`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod cluster;
-pub mod comm;
 pub mod config;
 pub mod host_api;
 pub mod kernel_api;

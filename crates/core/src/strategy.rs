@@ -7,9 +7,10 @@
 //! | [`Strategy::Gds`]   | GPU | GPU front-end doorbell (CPU pre-posts) | kernel boundary |
 //! | [`Strategy::GpuTn`] | GPU | GPU trigger store (CPU pre-registers) | **intra-kernel** |
 //!
-//! The mechanics live elsewhere — HDN is ordinary host programs over
-//! [`gtn_host::mpi`], GDS uses [`crate::Cluster::gds_doorbell_on_done`],
-//! GPU-TN pairs [`crate::kernel_api`] trigger plans with
+//! The mechanics live elsewhere — CPU and HDN are ordinary host programs
+//! over [`gtn_host::mpi`], GDS launches carry a kernel-boundary doorbell
+//! ([`gtn_gpu::KernelLaunch::with_doorbell`]), GPU-TN pairs
+//! [`crate::kernel_api`] trigger plans with
 //! [`gtn_nic::nic::NicCommand::TriggeredPut`] registrations — this module
 //! just names them and carries shared reporting helpers.
 

@@ -78,6 +78,8 @@ pub enum GpuOutput {
         at: SimTime,
         /// The launch label.
         label: String,
+        /// The launch's GDS doorbell tags ([`KernelLaunch::with_doorbell`]).
+        doorbell: Vec<Tag>,
     },
 }
 
@@ -426,6 +428,7 @@ impl Gpu {
             kid,
             at: now,
             label: run.launch.label,
+            doorbell: run.launch.doorbell,
         }]
     }
 }

@@ -341,6 +341,17 @@ impl ProgramBuilder {
         self
     }
 
+    /// Append the GPU-TN send fragment (§4.2.6): one system-scope release
+    /// fence, then one leader trigger store per tag, so the data is
+    /// globally visible before the NIC is told to move it.
+    pub fn release_triggers(self, tags: &[Tag]) -> Self {
+        let mut b = self.fence(MemScope::System, MemOrdering::Release);
+        for &tag in tags {
+            b = b.trigger_store(move |_| tag);
+        }
+        b
+    }
+
     /// Validate and build.
     pub fn build(self) -> Result<KernelProgram, ScopeViolation> {
         KernelProgram::new(self.ops)
@@ -358,6 +369,10 @@ pub struct KernelLaunch {
     pub items_per_wg: u32,
     /// Label for traces and completion matching.
     pub label: String,
+    /// GDS doorbell (§5.1): tags the GPU front-end writes to the NIC's
+    /// trigger address once this kernel completes. Empty for every other
+    /// strategy.
+    pub doorbell: Vec<Tag>,
 }
 
 impl KernelLaunch {
@@ -373,7 +388,15 @@ impl KernelLaunch {
             n_wgs,
             items_per_wg,
             label: label.to_owned(),
+            doorbell: Vec::new(),
         }
+    }
+
+    /// Ring the NIC with `tags` at this kernel's boundary: the front-end
+    /// writes each tag, in order, after teardown.
+    pub fn with_doorbell(mut self, tags: &[Tag]) -> Self {
+        self.doorbell.extend_from_slice(tags);
+        self
     }
 
     /// The empty kernel of the Fig. 1 study.
@@ -474,6 +497,30 @@ mod tests {
         assert!(k.program.is_empty());
         assert_eq!(k.n_wgs, 1);
         assert_eq!(k.label, "fig1");
+    }
+
+    #[test]
+    fn release_triggers_is_one_fence_then_the_stores() {
+        let p = ProgramBuilder::new()
+            .func(|_, _| {})
+            .release_triggers(&[Tag(1), Tag(2), Tag(3)])
+            .build()
+            .expect("valid kernel");
+        assert_eq!(p.len(), 5);
+        assert!(matches!(
+            p.ops()[1],
+            KernelOp::Fence(MemScope::System, MemOrdering::Release)
+        ));
+        assert!(p.ops()[2..]
+            .iter()
+            .all(|op| matches!(op, KernelOp::TriggerStore { .. })));
+        // The §3.4 dynamic fragment: release fence + dynamic trigger store.
+        let dynk = ProgramBuilder::new()
+            .fence(MemScope::System, MemOrdering::Release)
+            .trigger_store_dyn(|_| Tag(3), |_| DynFields::NONE)
+            .build()
+            .expect("valid kernel");
+        assert_eq!(dynk.len(), 2);
     }
 
     #[test]

@@ -27,6 +27,11 @@ impl CpuCompute {
         }
     }
 
+    /// The host configuration this model costs against.
+    pub fn config(&self) -> &HostConfig {
+        &self.cfg
+    }
+
     /// Aggregate FP32 rate in GFLOP/s across all cores, derated by parallel
     /// efficiency.
     pub fn gflops(&self) -> f64 {

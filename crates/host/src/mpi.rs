@@ -64,30 +64,28 @@ struct Channel {
 /// Bytes of one CTS record: (region id, offset).
 const CTS_BYTES: u64 = 16;
 
-/// All directed channels of a cluster.
+/// The directed channels of a cluster, plus the host model its receive
+/// copies are costed against.
 #[derive(Debug)]
 pub struct MpiWorld {
     channels: HashMap<(u32, u32), Channel>,
     slot_bytes: u64,
+    host: CpuCompute,
 }
 
 impl MpiWorld {
-    /// Allocate channels for every directed pair of `n_nodes` nodes, each
-    /// slot holding up to `max_msg_bytes`.
-    pub fn new(mem: &mut MemPool, n_nodes: u32, max_msg_bytes: u64) -> Self {
-        let pairs: Vec<(u32, u32)> = (0..n_nodes)
-            .flat_map(|src| (0..n_nodes).map(move |dst| (src, dst)))
-            .filter(|(src, dst)| src != dst)
-            .collect();
-        MpiWorld::for_pairs(mem, &pairs, max_msg_bytes)
-    }
-
-    /// Allocate channels only for the given directed `pairs` (deduplicated,
-    /// in first-seen order). Large collectives talk to a handful of peers
-    /// per rank; allocating the full `P²` channel mesh of [`MpiWorld::new`]
-    /// would cost `O(P²·max_msg_bytes)` mailbox memory for slots that are
-    /// never touched.
-    pub fn for_pairs(mem: &mut MemPool, pairs: &[(u32, u32)], max_msg_bytes: u64) -> Self {
+    /// Allocate channels for the given directed `pairs` (deduplicated, in
+    /// first-seen order), each slot holding up to `max_msg_bytes`, with
+    /// receives costed against `host`. Only named pairs get mailboxes:
+    /// stencils and collectives talk to a handful of peers per rank, and a
+    /// full `P²` mesh would cost `O(P²·max_msg_bytes)` memory for slots
+    /// that are never touched.
+    pub fn for_pairs(
+        mem: &mut MemPool,
+        pairs: &[(u32, u32)],
+        max_msg_bytes: u64,
+        host: &HostConfig,
+    ) -> Self {
         let mut channels = HashMap::new();
         for &(src, dst) in pairs {
             if src == dst || channels.contains_key(&(src, dst)) {
@@ -125,6 +123,7 @@ impl MpiWorld {
         MpiWorld {
             channels,
             slot_bytes: max_msg_bytes,
+            host: CpuCompute::new(host.clone()),
         }
     }
 
@@ -177,16 +176,15 @@ impl MpiWorld {
     /// slot out.
     pub fn recv_ops(
         &mut self,
-        cfg: &HostConfig,
         src: NodeId,
         dst: NodeId,
         user_buf: Addr,
         bytes: u64,
     ) -> Vec<HostOp> {
         if bytes > self.slot_bytes {
-            return self.recv_ops_rendezvous(cfg, src, dst, user_buf, bytes);
+            return self.recv_ops_rendezvous(src, dst, user_buf);
         }
-        let compute = CpuCompute::new(cfg.clone());
+        let cost = self.host.config().recv_stack() + self.host.memcpy(bytes);
         let ch = self.channel_mut(src, dst);
         let seq = ch.received + 1;
         let slot = ch.received % SLOTS;
@@ -198,7 +196,7 @@ impl MpiWorld {
                 addr: flag,
                 at_least: seq,
             },
-            HostOp::Compute(cfg.recv_stack() + compute.memcpy(bytes)),
+            HostOp::Compute(cost),
             HostOp::Func(std::sync::Arc::new(move |mem: &mut MemPool| {
                 mem.copy(slot_addr, user_buf, bytes);
             })),
@@ -259,14 +257,8 @@ impl MpiWorld {
 
     /// Rendezvous receiver: wait RTS → send CTS carrying the user-buffer
     /// address → wait for the payload to land in place.
-    fn recv_ops_rendezvous(
-        &mut self,
-        cfg: &HostConfig,
-        src: NodeId,
-        dst: NodeId,
-        user_buf: Addr,
-        _bytes: u64,
-    ) -> Vec<HostOp> {
+    fn recv_ops_rendezvous(&mut self, src: NodeId, dst: NodeId, user_buf: Addr) -> Vec<HostOp> {
+        let recv_stack = self.host.config().recv_stack();
         let ch = self.channel_mut(src, dst);
         let seq = ch.rdv_received + 1;
         ch.rdv_received += 1;
@@ -281,7 +273,7 @@ impl MpiWorld {
                 at_least: seq,
             },
             // Matching + CTS build on the receive stack.
-            HostOp::Compute(cfg.recv_stack()),
+            HostOp::Compute(recv_stack),
             HostOp::Func(std::sync::Arc::new(move |mem: &mut MemPool| {
                 mem.write_u64(cts_out, user_buf.region.0 as u64);
                 mem.write_u64(cts_out.offset_by(8), user_buf.offset);
@@ -307,11 +299,16 @@ impl MpiWorld {
 mod tests {
     use super::*;
 
+    /// A two-node world with both directed channels.
+    fn pair_world(mem: &mut MemPool, bytes: u64) -> MpiWorld {
+        MpiWorld::for_pairs(mem, &[(0, 1), (1, 0)], bytes, &HostConfig::default())
+    }
+
     #[test]
-    fn channels_cover_all_directed_pairs() {
+    fn channels_cover_the_named_directed_pairs() {
         let mut mem = MemPool::new(3);
-        let w = MpiWorld::new(&mut mem, 3, 1024);
-        assert_eq!(w.channels.len(), 6);
+        let w = MpiWorld::for_pairs(&mut mem, &[(0, 2), (2, 0)], 1024, &HostConfig::default());
+        assert_eq!(w.channels.len(), 2);
         assert_eq!(w.max_msg_bytes(), 1024);
         // Slots live on the receiver.
         let ch = &w.channels[&(0, 2)];
@@ -324,7 +321,7 @@ mod tests {
         let mut mem = MemPool::new(4);
         // Duplicates and self-pairs are ignored.
         let pairs = [(0, 1), (1, 0), (0, 1), (2, 2), (3, 1)];
-        let w = MpiWorld::for_pairs(&mut mem, &pairs, 512);
+        let w = MpiWorld::for_pairs(&mut mem, &pairs, 512, &HostConfig::default());
         assert_eq!(w.channels.len(), 3);
         assert!(w.channels.contains_key(&(3, 1)));
         assert!(!w.channels.contains_key(&(1, 3)));
@@ -333,29 +330,18 @@ mod tests {
     }
 
     #[test]
-    fn dense_world_matches_sparse_all_pairs_layout() {
-        // `new` delegates to `for_pairs`; the mailbox layout (and therefore
-        // every region id and offset) must be identical for the dense case.
-        let mut mem_a = MemPool::new(3);
-        let a = MpiWorld::new(&mut mem_a, 3, 256);
-        let mut mem_b = MemPool::new(3);
-        let pairs: Vec<(u32, u32)> = (0..3)
-            .flat_map(|s| (0..3).map(move |d| (s, d)))
-            .filter(|(s, d)| s != d)
-            .collect();
-        let b = MpiWorld::for_pairs(&mut mem_b, &pairs, 256);
-        for key in a.channels.keys() {
-            let (ca, cb) = (&a.channels[key], &b.channels[key]);
-            assert_eq!(ca.slots, cb.slots);
-            assert_eq!(ca.flag, cb.flag);
-            assert_eq!(ca.cts_slots, cb.cts_slots);
-        }
+    #[should_panic(expected = "no channel n0->n2")]
+    fn send_on_an_unnamed_pair_panics() {
+        let mut mem = MemPool::new(4);
+        let src = Addr::base(NodeId(0), mem.alloc(NodeId(0), 64, "src"));
+        let mut w = MpiWorld::for_pairs(&mut mem, &[(0, 1)], 64, &HostConfig::default());
+        let _ = w.send_ops(NodeId(0), NodeId(2), src, 64);
     }
 
     #[test]
     fn send_targets_rotating_slots() {
         let mut mem = MemPool::new(2);
-        let mut w = MpiWorld::new(&mut mem, 2, 256);
+        let mut w = pair_world(&mut mem, 256);
         let buf = Addr::base(NodeId(0), mem.alloc(NodeId(0), 256, "buf"));
         let mut offsets = Vec::new();
         for _ in 0..6 {
@@ -375,11 +361,10 @@ mod tests {
     #[test]
     fn recv_polls_increasing_sequence() {
         let mut mem = MemPool::new(2);
-        let mut w = MpiWorld::new(&mut mem, 2, 256);
-        let cfg = HostConfig::default();
+        let mut w = pair_world(&mut mem, 256);
         let buf = Addr::base(NodeId(1), mem.alloc(NodeId(1), 256, "buf"));
         for expected in 1..=3u64 {
-            let ops = w.recv_ops(&cfg, NodeId(0), NodeId(1), buf, 64);
+            let ops = w.recv_ops(NodeId(0), NodeId(1), buf, 64);
             assert_eq!(ops.len(), 3);
             match ops[0] {
                 HostOp::Poll { at_least, .. } => assert_eq!(at_least, expected),
@@ -391,7 +376,7 @@ mod tests {
     #[test]
     fn oversized_send_takes_the_rendezvous_path() {
         let mut mem = MemPool::new(2);
-        let mut w = MpiWorld::new(&mut mem, 2, 64);
+        let mut w = pair_world(&mut mem, 64);
         let buf = Addr::base(NodeId(0), mem.alloc(NodeId(0), 256, "buf"));
         let ops = w.send_ops(NodeId(0), NodeId(1), buf, 128);
         // RTS put, CTS poll, dynamic payload put.
@@ -403,7 +388,7 @@ mod tests {
         assert!(matches!(ops[1], HostOp::Poll { at_least: 1, .. }));
         assert!(matches!(ops[2], HostOp::NicPostDynamic(_)));
 
-        let rops = w.recv_ops(&HostConfig::default(), NodeId(0), NodeId(1), buf, 128);
+        let rops = w.recv_ops(NodeId(0), NodeId(1), buf, 128);
         // RTS poll, recv stack, CTS build, CTS put, payload poll.
         assert_eq!(rops.len(), 5);
         assert!(matches!(rops[0], HostOp::Poll { at_least: 1, .. }));
@@ -413,7 +398,7 @@ mod tests {
     #[test]
     fn rendezvous_sequences_advance_independently_of_eager() {
         let mut mem = MemPool::new(2);
-        let mut w = MpiWorld::new(&mut mem, 2, 64);
+        let mut w = pair_world(&mut mem, 64);
         let buf = Addr::base(NodeId(0), mem.alloc(NodeId(0), 1024, "buf"));
         // Interleave eager and rendezvous sends; each protocol keeps its
         // own sequence numbers.
@@ -432,10 +417,9 @@ mod tests {
     #[test]
     fn recv_copy_moves_slot_payload() {
         let mut mem = MemPool::new(2);
-        let mut w = MpiWorld::new(&mut mem, 2, 128);
-        let cfg = HostConfig::default();
+        let mut w = pair_world(&mut mem, 128);
         let user = Addr::base(NodeId(1), mem.alloc(NodeId(1), 128, "user"));
-        let ops = w.recv_ops(&cfg, NodeId(0), NodeId(1), user, 16);
+        let ops = w.recv_ops(NodeId(0), NodeId(1), user, 16);
         // Simulate the NIC having deposited into slot 0.
         let slot0 = w.channels[&(0, 1)].slots;
         mem.write(slot0, &[9u8; 16]);

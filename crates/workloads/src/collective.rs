@@ -40,18 +40,19 @@
 
 use crate::harness::{Harness, JobFailure, ScenarioParams, ScenarioResult};
 use gtn_core::cluster::Cluster;
-use gtn_core::comm::{self, GpuTnDriver};
 use gtn_core::config::ClusterConfig;
 use gtn_core::Strategy;
 use gtn_gpu::kernel::ProgramBuilder;
 use gtn_gpu::KernelLaunch;
 use gtn_host::compute::CpuCompute;
+use gtn_host::mpi::MpiWorld;
 use gtn_host::nbc::{self, chunk_range, NbcOp, Schedule};
 use gtn_host::HostProgram;
 use gtn_mem::latency::MemHierarchy;
 use gtn_mem::scope::{MemOrdering, MemScope};
 use gtn_mem::{Addr, MemPool, NodeId};
 use gtn_nic::lookup::LookupKind;
+use gtn_nic::nic::NicCommand;
 use gtn_nic::op::{NetOp, Notify};
 use gtn_nic::Tag;
 use gtn_sim::rng::first_range_f32;
@@ -496,8 +497,8 @@ pub(crate) fn execute(
     }
     let slot_bytes = max_seg.min(EAGER_CAP).max(max_exchange_seg);
 
-    let mut driver = comm::driver(params.strategy);
-    driver.setup_pairs(&config, &mut mem, slot_bytes, &pairs);
+    let mut mpi = matches!(params.strategy, Strategy::Cpu | Strategy::Hdn)
+        .then(|| MpiWorld::for_pairs(&mut mem, &pairs, slot_bytes, &config.host));
     let cpu_model = CpuCompute::new(config.host.clone());
 
     let mut programs = Vec::with_capacity(p as usize);
@@ -581,23 +582,23 @@ pub(crate) fn execute(
         let mut prog = HostProgram::new();
         match params.strategy {
             Strategy::Cpu | Strategy::Hdn => {
+                let mpi = mpi.as_mut().expect("CPU/HDN build an MPI world");
                 for r in 0..rcount {
                     let rp = &plan.rounds[r];
                     for o in &rp.out {
-                        driver.send(
-                            &mut prog,
+                        prog.extend(mpi.send_ops(
                             NodeId(node),
                             NodeId(o.peer),
                             b.vec.offset_by(o.elem_off * 4),
                             o.elems * 4,
-                        );
+                        ));
                     }
                     for i in &rp.inb {
                         let dst = match i.disp {
                             Disposition::Reduce => b.stage.offset_by(i.stage_off),
                             Disposition::Replace => b.vec.offset_by(i.elem_off * 4),
                         };
-                        driver.recv(&mut prog, NodeId(i.peer), NodeId(node), dst, i.elems * 4);
+                        prog.extend(mpi.recv_ops(NodeId(i.peer), NodeId(node), dst, i.elems * 4));
                     }
                     if params.strategy == Strategy::Cpu {
                         if rp.reduce_elems > 0 {
@@ -629,12 +630,17 @@ pub(crate) fn execute(
                 // directly. Every later round's sends are pre-registered
                 // and fire at the previous round's kernel boundary.
                 for o in &plan.rounds[0].out {
-                    driver.post(&mut prog, put_for(0, o, false));
+                    prog.nic_post(NicCommand::Put(put_for(0, o, false)));
                 }
                 for r in 0..rcount {
+                    let next_tags: &[Tag] = tags.get(r + 1).map_or(&[], Vec::as_slice);
                     if r + 1 < rcount {
-                        for (o, &tag) in plan.rounds[r + 1].out.iter().zip(&tags[r + 1]) {
-                            driver.register(&mut prog, tag, 1, put_for(r + 1, o, false));
+                        for (o, &tag) in plan.rounds[r + 1].out.iter().zip(next_tags) {
+                            prog.nic_post(NicCommand::TriggeredPut {
+                                tag,
+                                threshold: 1,
+                                op: put_for(r + 1, o, false),
+                            });
                         }
                     }
                     let rp = &plan.rounds[r];
@@ -654,13 +660,8 @@ pub(crate) fn execute(
                         ProgramBuilder::new().compute(SimDuration::from_ns(100))
                     };
                     let kernel = builder.build().expect("valid kernel");
-                    prog.launch(KernelLaunch::new(kernel, 1, 64, &label));
+                    prog.launch(KernelLaunch::new(kernel, 1, 64, &label).with_doorbell(next_tags));
                     prog.wait_kernel(&label);
-                    if r + 1 < rcount {
-                        for &tag in &tags[r + 1] {
-                            driver.on_kernel_done(node, &label, tag);
-                        }
-                    }
                 }
             }
             Strategy::GpuTn => {
@@ -669,7 +670,7 @@ pub(crate) fn execute(
                 let mut any = false;
                 for (r, (rp, rtags)) in plan.rounds.iter().zip(&tags).enumerate() {
                     if !rp.out.is_empty() {
-                        builder = GpuTnDriver::release_triggers(builder, rtags);
+                        builder = builder.release_triggers(rtags);
                         any = true;
                     }
                     if !rp.inb.is_empty() {
@@ -692,7 +693,11 @@ pub(crate) fn execute(
                 let mut posted = 0u64;
                 for (r, (rp, rtags)) in plan.rounds.iter().zip(&tags).enumerate() {
                     for (o, &tag) in rp.out.iter().zip(rtags) {
-                        driver.register(&mut prog, tag, 1, put_for(r, o, true));
+                        prog.nic_post(NicCommand::TriggeredPut {
+                            tag,
+                            threshold: 1,
+                            op: put_for(r, o, true),
+                        });
                     }
                     posted += rp.out.len() as u64;
                     if !rp.out.is_empty() {
@@ -711,8 +716,7 @@ pub(crate) fn execute(
         .nodes(p)
         .size(params.elems)
         .seed(params.seed);
-    let (cluster, scenario) =
-        Harness::try_execute(name, &sparams, config, mem, programs, &mut *driver)?;
+    let (cluster, scenario) = Harness::try_execute(name, &sparams, config, mem, programs)?;
     Ok((cluster, scenario, bufs.iter().map(|b| b.vec).collect()))
 }
 

@@ -25,18 +25,19 @@
 //! sweep of the assembled `(R·N)×(C·N)` global grid.
 
 use crate::harness::{Harness, JobFailure, ScenarioParams, ScenarioResult, Workload};
-use gtn_core::comm::{self, CommDriver, GpuTnDriver};
 use gtn_core::config::ClusterConfig;
 use gtn_core::Strategy;
 use gtn_gpu::kernel::ProgramBuilder;
 use gtn_gpu::{KernelLaunch, WgCtx};
 use gtn_host::compute::CpuCompute;
+use gtn_host::mpi::MpiWorld;
 use gtn_host::HostProgram;
 use gtn_mem::latency::MemHierarchy;
 use gtn_mem::scope::{MemOrdering, MemScope};
 use gtn_mem::view::{f32s, load_f32, store_f32};
 use gtn_mem::{Addr, MemPool, NodeId};
 use gtn_nic::lookup::LookupKind;
+use gtn_nic::nic::NicCommand;
 use gtn_nic::op::{NetOp, Notify};
 use gtn_nic::Tag;
 use gtn_sim::rng::first_range_f32;
@@ -396,10 +397,19 @@ fn run_inner(
         }
     }
 
-    // Two-sided drivers build their MPI lane here (allocating eager
-    // buffers); one-sided drivers need no setup.
-    let mut driver = comm::driver(params.strategy);
-    driver.setup(&config, &mut mem, n * 4);
+    // CPU and HDN exchange halos over two-sided MPI: one eager channel per
+    // directed neighbour pair, each slot one edge.
+    let mut mpi = matches!(params.strategy, Strategy::Cpu | Strategy::Hdn).then(|| {
+        let pairs: Vec<(u32, u32)> = (0..nodes)
+            .flat_map(|nd| {
+                let (r, c) = (nd / params.cols, nd % params.cols);
+                neighbors(r, c, params.rows, params.cols)
+                    .into_iter()
+                    .map(move |(_, peer)| (nd, peer))
+            })
+            .collect();
+        MpiWorld::for_pairs(&mut mem, &pairs, n * 4, &config.host)
+    });
     let cpu_model = CpuCompute::new(config.host.clone());
 
     let mut programs: Vec<HostProgram> = Vec::with_capacity(nodes as usize);
@@ -434,37 +444,38 @@ fn run_inner(
         // Register every neighbour's put for exchange `iter` (arrival
         // iter + 1 at the peer → parity slot (iter + 1) % 2), optionally
         // with a local completion for just-in-time throttling.
-        let register_exchange =
-            |p: &mut HostProgram, driver: &mut dyn CommDriver, iter: u32, comp: Option<Addr>| {
-                for &(dir, peer) in &nbrs {
-                    let slot = ((iter + 1) % 2) as usize;
-                    let put = put_for(&b, &bufs[peer as usize], dir, peer, slot, n, comp);
-                    driver.register(p, tag_of(iter, dir), 1, put);
-                }
-            };
+        let register_exchange = |p: &mut HostProgram, iter: u32, comp: Option<Addr>| {
+            for &(dir, peer) in &nbrs {
+                let slot = ((iter + 1) % 2) as usize;
+                p.nic_post(NicCommand::TriggeredPut {
+                    tag: tag_of(iter, dir),
+                    threshold: 1,
+                    op: put_for(&b, &bufs[peer as usize], dir, peer, slot, n, comp),
+                });
+            }
+        };
 
         let mut p = HostProgram::new();
         match params.strategy {
             Strategy::Cpu | Strategy::Hdn => {
+                let mpi = mpi.as_mut().expect("CPU/HDN build an MPI world");
                 for iter in 0..params.iters {
                     host_edges(&mut p, None);
                     for &(dir, peer) in &nbrs {
-                        driver.send(
-                            &mut p,
+                        p.extend(mpi.send_ops(
                             NodeId(node),
                             NodeId(peer),
                             b.send[dir as usize],
                             n * 4,
-                        );
+                        ));
                     }
                     for &(dir, peer) in &nbrs {
-                        driver.recv(
-                            &mut p,
+                        p.extend(mpi.recv_ops(
                             NodeId(peer),
                             NodeId(node),
                             b.stage[dir as usize][0],
                             n * 4,
-                        );
+                        ));
                     }
                     host_edges(&mut p, Some(0));
                     if params.strategy == Strategy::Cpu {
@@ -490,17 +501,15 @@ fn run_inner(
                 host_edges(&mut p, None);
                 for &(dir, peer) in &nbrs {
                     // The initial exchange is arrival 1 -> slot 1.
-                    driver.post(
-                        &mut p,
-                        put_for(&b, &bufs[peer as usize], dir, peer, 1, n, None),
-                    );
+                    let put = put_for(&b, &bufs[peer as usize], dir, peer, 1, n, None);
+                    p.nic_post(NicCommand::Put(put));
                 }
                 for iter in 1..=params.iters {
                     let last = iter == params.iters;
                     if !last {
                         // Arrival a lands in stage slot a % 2; the put the
                         // k{iter} doorbell fires is arrival iter + 1.
-                        register_exchange(&mut p, &mut *driver, iter, None);
+                        register_exchange(&mut p, iter, None);
                     }
                     for &(dir, _) in &nbrs {
                         p.poll(b.flag[dir as usize], iter as u64);
@@ -513,24 +522,19 @@ fn run_inner(
                         .func(edges_fragment(Some((iter % 2) as usize)))
                         .compute(gpu_sweep_time(n))
                         .func(move |mem, _| sweep(mem, bb.grid, bb.scratch, n));
+                    let mut doorbell = Vec::new();
                     if !last {
                         builder = builder
                             .compute(edge_time(n, deg))
                             .func(edges_fragment(None))
                             .fence(MemScope::System, MemOrdering::Release);
+                        doorbell.extend(nbrs.iter().map(|&(dir, _)| tag_of(iter, dir)));
                     }
-                    p.launch(KernelLaunch::new(
-                        builder.build().expect("valid"),
-                        1,
-                        64,
-                        &label,
-                    ));
+                    p.launch(
+                        KernelLaunch::new(builder.build().expect("valid"), 1, 64, &label)
+                            .with_doorbell(&doorbell),
+                    );
                     p.wait_kernel(&label);
-                    if !last {
-                        for &(dir, _) in &nbrs {
-                            driver.on_kernel_done(node, &label, tag_of(iter, dir));
-                        }
-                    }
                 }
             }
             Strategy::GpuTn => {
@@ -541,7 +545,7 @@ fn run_inner(
                         .compute(edge_time(n, deg))
                         .func(edges_fragment(None));
                     let tags: Vec<Tag> = nbrs.iter().map(|&(dir, _)| tag_of(iter, dir)).collect();
-                    builder = GpuTnDriver::release_triggers(builder, &tags);
+                    builder = builder.release_triggers(&tags);
                     for &(dir, _) in &nbrs {
                         let flag = b.flag[dir as usize];
                         builder = builder.poll(move |_| flag, it64 + 1);
@@ -559,7 +563,7 @@ fn run_inner(
                 p.launch(KernelLaunch::new(kernel, 1, 64, "persistent"));
                 // Just-in-time posting, throttled by local completions.
                 for iter in 0..params.iters {
-                    register_exchange(&mut p, &mut *driver, iter, Some(b.comp));
+                    register_exchange(&mut p, iter, Some(b.comp));
                     p.poll(b.comp, deg * (iter as u64 + 1));
                 }
                 p.wait_kernel("persistent");
@@ -573,8 +577,7 @@ fn run_inner(
         .size(params.n_local as u64)
         .iters(params.iters)
         .seed(params.seed);
-    let (cluster, scenario) =
-        Harness::try_execute("jacobi", &sparams, config, mem, programs, &mut *driver)?;
+    let (cluster, scenario) = Harness::try_execute("jacobi", &sparams, config, mem, programs)?;
 
     let interiors = (0..nodes)
         .map(|nd| {

@@ -71,10 +71,7 @@ fn run_batch(profile: &SchedulerProfile, params: &ScenarioParams) -> (Cluster, S
     }
     p.wait_kernel(&format!("k{}", k - 1));
 
-    // No networking here: any driver is an inert pass-through, so the
-    // harness only builds, runs, and collects.
-    let mut driver = gtn_core::comm::driver(params.strategy);
-    crate::harness::Harness::execute("launch_study", params, config, mem, vec![p], &mut *driver)
+    crate::harness::Harness::execute("launch_study", params, config, mem, vec![p])
 }
 
 /// The full Fig. 1 sweep: three profiles × five batch sizes.

@@ -36,8 +36,12 @@
 //! The [`harness`] module is the shared frame: unified scenario
 //! parameters/results, the [`harness::Workload`] trait each experiment
 //! implements, and the `GTN_STRATEGIES` strategy filter the benches use.
-//! Per-strategy communication idioms live one layer down, in
-//! [`gtn_core::comm`].
+//! Each workload spells out its strategies' communication itself, on the
+//! substrate calls: MPI send/receive ops ([`gtn_host::mpi::MpiWorld`]),
+//! NIC posts and triggered-put registrations
+//! ([`gtn_host::HostProgram::nic_post`]), GDS doorbells on the kernel
+//! launch ([`gtn_gpu::KernelLaunch::with_doorbell`]) and GPU-TN trigger
+//! stores ([`gtn_gpu::kernel::ProgramBuilder::release_triggers`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

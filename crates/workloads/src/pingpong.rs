@@ -9,15 +9,14 @@
 //! improvements and the qualitative phenomenon that under GPU-TN the target
 //! receives the data *before* the initiator's kernel completes.
 //!
-//! Every flavor runs through one body ([`run_flavor`]): the strategies
-//! differ only in the kernel they build and the
-//! [`CommDriver`](gtn_core::comm::CommDriver) idioms they
-//! invoke, so the per-strategy duplication lives in `gtn_core::comm`, not
-//! here.
+//! Every flavor runs through one body ([`run_flavor`]): the flavors share
+//! the put, the copy kernel and the target's poll, and differ only in who
+//! initiates the put — a direct host post (CPU, HDN, GPU Host), a
+//! kernel-boundary doorbell on the launch (GDS), or a trigger store inside
+//! the kernel (GPU-TN, GPU Native).
 
 use crate::harness::{ConfigPatch, Harness, JobFailure, ScenarioParams, ScenarioResult, Workload};
 use gtn_core::cluster::LogKind;
-use gtn_core::comm::{self, GpuTnDriver};
 use gtn_core::config::ClusterConfig;
 use gtn_core::timeline::decompose_pingpong;
 use gtn_core::Strategy;
@@ -26,6 +25,7 @@ use gtn_gpu::KernelLaunch;
 use gtn_host::HostProgram;
 use gtn_mem::scope::{MemOrdering, MemScope};
 use gtn_mem::{Addr, MemPool, NodeId};
+use gtn_nic::nic::NicCommand;
 use gtn_nic::op::{NetOp, Notify};
 use gtn_nic::Tag;
 use gtn_sim::time::{SimDuration, SimTime};
@@ -145,8 +145,8 @@ const GPU_NATIVE_STACK_NS: u64 = 1_200;
 const BOUNCE_COPY_NS: u64 = 60;
 
 /// Run a Table 1 flavor of the microbenchmark: one body for the whole
-/// taxonomy — flavors differ only in the kernel they build and the driver
-/// idiom that launches the put.
+/// taxonomy — flavors differ only in the kernel they build and in who
+/// initiates the put.
 pub fn run_flavor(flavor: Flavor) -> PingResult {
     try_run_flavor(flavor, ConfigPatch::NONE)
         .unwrap_or_else(|failure| panic!("pingpong {} did not complete\n{failure}", flavor.name()))
@@ -194,7 +194,13 @@ pub fn try_run_flavor(flavor: Flavor, patch: ConfigPatch) -> Result<PingResult, 
         })
     };
 
-    let mut driver = comm::driver(strategy);
+    // The trigger-driven flavors (GDS, GPU-TN, GPU Native) pre-register
+    // the put under tag 1 to fire on the first trigger write.
+    let registered = |op: NetOp| NicCommand::TriggeredPut {
+        tag: Tag(1),
+        threshold: 1,
+        op,
+    };
     let mut p0 = HostProgram::new();
     let mut p1 = HostProgram::new();
     p1.poll(flag, 1);
@@ -207,7 +213,7 @@ pub fn try_run_flavor(flavor: Flavor, patch: ConfigPatch) -> Result<PingResult, 
                     let bytes = mem.read(input, PAYLOAD).to_vec();
                     mem.write(src, &bytes);
                 });
-            driver.post(&mut p0, put);
+            p0.nic_post(NicCommand::Put(put));
         }
         Flavor::Std(Strategy::Hdn) => {
             // Launch, wait the kernel boundary, then the CPU sends (full
@@ -217,7 +223,7 @@ pub fn try_run_flavor(flavor: Flavor, patch: ConfigPatch) -> Result<PingResult, 
                 .expect("valid");
             p0.launch(KernelLaunch::new(kernel, 1, 64, "pp"))
                 .wait_kernel("pp");
-            driver.post(&mut p0, put);
+            p0.nic_post(NicCommand::Put(put));
         }
         Flavor::Std(Strategy::Gds) => {
             // CPU pre-posts; the GPU front-end rings the doorbell at the
@@ -225,21 +231,18 @@ pub fn try_run_flavor(flavor: Flavor, patch: ConfigPatch) -> Result<PingResult, 
             let kernel = copy_body(ProgramBuilder::new(), COPY_KERNEL_NS)
                 .build()
                 .expect("valid");
-            driver.register(&mut p0, Tag(1), 1, put);
-            p0.launch(KernelLaunch::new(kernel, 1, 64, "pp"))
+            p0.nic_post(registered(put));
+            p0.launch(KernelLaunch::new(kernel, 1, 64, "pp").with_doorbell(&[Tag(1)]))
                 .wait_kernel("pp");
-            driver.on_kernel_done(0, "pp", Tag(1));
         }
         Flavor::Std(Strategy::GpuTn) => {
             // CPU pre-registers; the kernel triggers mid-execution after a
             // system-scope release (Fig. 7 / §4.2.6).
-            let kernel = GpuTnDriver::release_trigger(
-                copy_body(ProgramBuilder::new(), COPY_KERNEL_NS),
-                Tag(1),
-            )
-            .build()
-            .expect("valid");
-            driver.register(&mut p0, Tag(1), 1, put);
+            let kernel = copy_body(ProgramBuilder::new(), COPY_KERNEL_NS)
+                .release_triggers(&[Tag(1)])
+                .build()
+                .expect("valid");
+            p0.nic_post(registered(put));
             p0.launch(KernelLaunch::new(kernel, 1, 64, "pp"))
                 .wait_kernel("pp");
         }
@@ -255,7 +258,7 @@ pub fn try_run_flavor(flavor: Flavor, patch: ConfigPatch) -> Result<PingResult, 
                 .expect("valid");
             p0.launch(KernelLaunch::new(kernel, 1, 64, "pp"))
                 .poll(request, 1);
-            driver.post(&mut p0, put);
+            p0.nic_post(NicCommand::Put(put));
             p0.wait_kernel("pp");
         }
         Flavor::GpuNative => {
@@ -269,14 +272,14 @@ pub fn try_run_flavor(flavor: Flavor, patch: ConfigPatch) -> Result<PingResult, 
                 .trigger_store(|_| Tag(1))
                 .build()
                 .expect("valid");
-            driver.register(&mut p0, Tag(1), 1, put);
+            p0.nic_post(registered(put));
             p0.launch(KernelLaunch::new(kernel, 1, 64, "pp"))
                 .wait_kernel("pp");
         }
     }
 
     let (cluster, mut scenario) =
-        Harness::try_execute("pingpong", &params, config, mem, vec![p0, p1], &mut *driver)?;
+        Harness::try_execute("pingpong", &params, config, mem, vec![p0, p1])?;
     assert_eq!(
         cluster.mem().read(dst, PAYLOAD),
         &[0xC5; PAYLOAD as usize],

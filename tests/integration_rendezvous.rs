@@ -20,17 +20,16 @@ fn run_transfer(bytes: u64) -> (Vec<u8>, Vec<u8>, SimTime) {
     let payload: Vec<u8> = (0..bytes).map(|i| (i * 31 % 251) as u8).collect();
     mem.write(send_buf, &payload);
 
-    let mut mpi = MpiWorld::new(&mut mem, 2, EAGER_SLOT);
+    let mut mpi = MpiWorld::for_pairs(
+        &mut mem,
+        &[(0, 1), (1, 0)],
+        EAGER_SLOT,
+        &HostConfig::default(),
+    );
     let mut p0 = HostProgram::new();
     p0.extend(mpi.send_ops(NodeId(0), NodeId(1), send_buf, bytes));
     let mut p1 = HostProgram::new();
-    p1.extend(mpi.recv_ops(
-        &HostConfig::default(),
-        NodeId(0),
-        NodeId(1),
-        recv_buf,
-        bytes,
-    ));
+    p1.extend(mpi.recv_ops(NodeId(0), NodeId(1), recv_buf, bytes));
 
     let mut cluster = Cluster::new(config, mem, vec![p0, p1]);
     let result = cluster.run();
@@ -79,17 +78,13 @@ fn rendezvous_costs_a_round_trip_but_skips_the_copy() {
         let send_buf = Addr::base(NodeId(0), mem.alloc(NodeId(0), bytes, "send"));
         let recv_buf = Addr::base(NodeId(1), mem.alloc(NodeId(1), bytes, "recv"));
         mem.write(send_buf, &vec![9u8; bytes as usize]);
-        let mut mpi = MpiWorld::new(&mut mem, 2, bytes); // slots big enough
+        // Slots big enough for the whole message.
+        let mut mpi =
+            MpiWorld::for_pairs(&mut mem, &[(0, 1), (1, 0)], bytes, &HostConfig::default());
         let mut p0 = HostProgram::new();
         p0.extend(mpi.send_ops(NodeId(0), NodeId(1), send_buf, bytes));
         let mut p1 = HostProgram::new();
-        p1.extend(mpi.recv_ops(
-            &HostConfig::default(),
-            NodeId(0),
-            NodeId(1),
-            recv_buf,
-            bytes,
-        ));
+        p1.extend(mpi.recv_ops(NodeId(0), NodeId(1), recv_buf, bytes));
         let mut cluster = Cluster::new(config, mem, vec![p0, p1]);
         cluster.run().expect_completed()
     };
@@ -113,18 +108,12 @@ fn pipelined_rendezvous_messages_stay_ordered() {
         let fill = vec![(i + 1) as u8; bytes as usize];
         mem.write(send_buf.offset_by(i * bytes), &fill);
     }
-    let mut mpi = MpiWorld::new(&mut mem, 2, 1024);
+    let mut mpi = MpiWorld::for_pairs(&mut mem, &[(0, 1), (1, 0)], 1024, &HostConfig::default());
     let mut p0 = HostProgram::new();
     let mut p1 = HostProgram::new();
     for i in 0..n_msgs {
         p0.extend(mpi.send_ops(NodeId(0), NodeId(1), send_buf.offset_by(i * bytes), bytes));
-        p1.extend(mpi.recv_ops(
-            &HostConfig::default(),
-            NodeId(0),
-            NodeId(1),
-            recv_buf.offset_by(i * bytes),
-            bytes,
-        ));
+        p1.extend(mpi.recv_ops(NodeId(0), NodeId(1), recv_buf.offset_by(i * bytes), bytes));
     }
     let mut cluster = Cluster::new(config, mem, vec![p0, p1]);
     cluster.run().expect_completed();
